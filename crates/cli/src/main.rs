@@ -983,7 +983,7 @@ override with -j/--threads or PWRPERF_THREADS). Results are bit-identical
 to sequential execution.
 
 With --store <dir>, sweep results are cached by content: each run is
-keyed by a fingerprint of its full configuration (workload programs,
+keyed by a fingerprint of its full configuration (workload,
 strategy, engine, faults), and a re-invoked sweep replays cached points
 without executing the engine — bit-identical, resumable after a kill.
 --dry-run prints the hit/miss partition; --no-cache forces execution.

@@ -5,8 +5,8 @@
 //! [`ServiceMetrics`]. Each accepted connection gets a handler thread
 //! that serves requests until the peer hangs up; concurrent handlers
 //! share the store and executor, which is exactly the situation the
-//! executor's claim protocol exists for. A compaction pass runs at
-//! startup and after every sweep submission, under the store lock.
+//! executor's claim protocol exists for. A compaction pass runs, under
+//! the store lock, at startup and after sweeps that persisted records.
 //!
 //! Shutdown is cooperative: a [`Request::Shutdown`] frame flips the stop
 //! flag, is acknowledged with [`Response::ShuttingDown`], and the
@@ -41,7 +41,8 @@ pub struct ServerConfig {
     /// Worker override for miss execution, as in
     /// [`crate::runner::run_batch_with`].
     pub workers: Option<usize>,
-    /// Store GC policy (startup + post-sweep passes).
+    /// Store GC policy (startup pass, and a pass after every sweep that
+    /// persisted records).
     pub compaction: CompactionPolicy,
 }
 
@@ -93,7 +94,12 @@ impl Shared {
                 };
                 match self.executor.run_sweep(&self.store, &sweep) {
                     Ok(outcome) => {
-                        self.compact_store();
+                        // Only a write can leave something to collect: a
+                        // sweep served entirely from the store creates no
+                        // record, tmp file or version skew.
+                        if outcome.report.engine_runs > 0 {
+                            self.compact_store();
+                        }
                         Response::SweepDone(SweepDone {
                             report: outcome.report,
                             results: outcome.results,

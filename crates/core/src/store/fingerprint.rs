@@ -1,37 +1,49 @@
 //! Content-addressed experiment fingerprints.
 //!
 //! A fingerprint is a 128-bit digest of an experiment's *semantic
-//! content*: the built per-rank programs (which bake in the workload's
-//! structure and the [`mpi_sim::MsgCostModel`] software costs), the DVS
-//! strategy, the full [`EngineConfig`] (wait policy, sampling, tracing,
-//! metrics, fault spec), any cluster overrides, and a format-version
-//! tag. Identical configurations collide by construction; changing any
-//! single field changes the canonical byte stream and therefore the key.
+//! content*: the [`Workload`] description and whether the strategy asks
+//! for dynamic-DVS instrumentation, the DVS strategy, the full
+//! [`EngineConfig`] (wait policy, sampling, tracing, metrics, fault
+//! spec), any cluster overrides, and a format-version tag. Identical
+//! configurations collide by construction; changing any single field
+//! changes the canonical byte stream and therefore the key.
 //!
-//! The digest is two independently salted passes of the workspace's
-//! deterministic [`FxHasher`] over the same canonical bytes. FxHash has
-//! no per-process state, so fingerprints are stable across processes and
-//! machines — the property the on-disk cache stands on (and that the
-//! golden-key test in `tests/sweepstore.rs` pins).
+//! The key describes the workload, not its lowered programs: lowering is
+//! a pure function of `(Workload, instrumentation)`, so the description
+//! determines the programs, and the key stays a few hundred bytes however
+//! large the programs grow. The price is a contract: a change to what a
+//! workload lowers to must bump [`STORE_FORMAT_VERSION`], or old records
+//! would replay for new programs. `tests/lowering_guard.rs` pins a digest
+//! of every registry workload's programs to catch exactly that.
+//!
+//! The digest is SipHash-2-4 under two fixed keys, one per 64-bit half.
+//! SipHash has no per-process state, so fingerprints are stable across
+//! processes and machines — the property the on-disk cache stands on
+//! (and that the golden-key test in `tests/sweepstore.rs` pins) — and,
+//! unlike a multiply-rotate hash, it does not collide on structured
+//! inputs such as consecutive fault seeds.
 
 use std::hash::Hasher as _;
 
 use cluster_sim::NodeConfig;
-use dvfs::{AppSpeedRequest, CapPolicy};
-use mpi_sim::{EngineConfig, Op, Program, Topology, WaitPolicy};
-use net_model::NetworkParams;
+use dvfs::CapPolicy;
+use mpi_sim::{EngineConfig, Topology, WaitPolicy};
 use power_model::DvfsLadder;
+use powerpack::{CommMicroConfig, MicroConfig};
 use sim_core::hash::FxHasher;
 use sim_core::Fault;
+use workloads::{CgClass, FtClass, MgClass};
 
 use super::codec::ByteWriter;
 use crate::experiment::Experiment;
 use crate::strategy::DvsStrategy;
+use crate::workload::Workload;
 
 /// Version tag mixed into every fingerprint and written into every
-/// record header. Bump it whenever the canonical encoding or the record
-/// payload layout changes; old cache entries then miss (and are
-/// rejected) instead of decoding garbage.
+/// record header. Bump it whenever the canonical encoding, the record
+/// payload layout, or what any workload lowers to changes; old cache
+/// entries then miss (and are rejected) instead of decoding garbage or
+/// replaying results of different programs.
 ///
 /// v3: `RunResult` payloads gained the causal log and attribution
 /// summary, and `EngineConfig::causal` joined the engine encoding.
@@ -39,24 +51,83 @@ use crate::strategy::DvsStrategy;
 /// v4: strategy frequencies are ladder-resolved before encoding (so
 /// requests clamping to the same operating point share one record), and
 /// the `PowerCap` controller strategy joined the strategy encoding.
-pub const STORE_FORMAT_VERSION: u32 = 4;
+///
+/// v5: the key encodes the workload description instead of its lowered
+/// programs, and the digest is SipHash-2-4 instead of FxHash.
+pub const STORE_FORMAT_VERSION: u32 = 5;
 
 const FINGERPRINT_MAGIC: &[u8; 4] = b"PWRF";
-const SALT_LO: u64 = 0x5EED_CAFE_0000_0001;
-const SALT_HI: u64 = 0x5EED_CAFE_0000_0002;
+const SIP_KEY_LO: (u64, u64) = (0x5EED_CAFE_0000_0001, 0x5057_5246_4C4F_5F31);
+const SIP_KEY_HI: (u64, u64) = (0x5EED_CAFE_0000_0002, 0x5057_5246_4849_5F32);
 const SALT_CHECKSUM: u64 = 0x5EED_CAFE_0000_0003;
 
-fn fx_hash(salt: u64, bytes: &[u8]) -> u64 {
+/// Deterministic 64-bit record checksum. It guards records against
+/// torn writes and bit rot, not against adversaries, so the fast FxHash
+/// is enough.
+pub fn checksum64(bytes: &[u8]) -> u64 {
     let mut h = FxHasher::default();
-    h.write_u64(salt);
+    h.write_u64(SALT_CHECKSUM);
     h.write(bytes);
     h.finish()
 }
 
-/// Deterministic 64-bit record checksum (salted differently from the
-/// fingerprint words so a record cannot checksum itself into validity).
-pub fn checksum64(bytes: &[u8]) -> u64 {
-    fx_hash(SALT_CHECKSUM, bytes)
+/// SipHash internal state: four 64-bit words.
+struct SipState {
+    v0: u64,
+    v1: u64,
+    v2: u64,
+    v3: u64,
+}
+
+impl SipState {
+    /// One SipRound (the SipHash paper's ARX mixing step).
+    fn round(&mut self) {
+        self.v0 = self.v0.wrapping_add(self.v1);
+        self.v1 = self.v1.rotate_left(13) ^ self.v0;
+        self.v0 = self.v0.rotate_left(32);
+        self.v2 = self.v2.wrapping_add(self.v3);
+        self.v3 = self.v3.rotate_left(16) ^ self.v2;
+        self.v0 = self.v0.wrapping_add(self.v3);
+        self.v3 = self.v3.rotate_left(21) ^ self.v0;
+        self.v2 = self.v2.wrapping_add(self.v1);
+        self.v1 = self.v1.rotate_left(17) ^ self.v2;
+        self.v2 = self.v2.rotate_left(32);
+    }
+
+    /// Absorb one message word with two rounds (the "2" in 2-4).
+    fn compress(&mut self, m: u64) {
+        self.v3 ^= m;
+        self.round();
+        self.round();
+        self.v0 ^= m;
+    }
+}
+
+/// SipHash-2-4 of `bytes` under the 128-bit key `(k0, k1)` (Aumasson &
+/// Bernstein, "SipHash: a fast short-input PRF", 2012).
+fn siphash24((k0, k1): (u64, u64), bytes: &[u8]) -> u64 {
+    let mut s = SipState {
+        v0: k0 ^ 0x736f_6d65_7073_6575,
+        v1: k1 ^ 0x646f_7261_6e64_6f6d,
+        v2: k0 ^ 0x6c79_6765_6e65_7261,
+        v3: k1 ^ 0x7465_6462_7974_6573,
+    };
+    let mut chunks = bytes.chunks_exact(8);
+    for chunk in &mut chunks {
+        let mut word = [0u8; 8];
+        word.copy_from_slice(chunk);
+        s.compress(u64::from_le_bytes(word));
+    }
+    // Last block: the remaining bytes, zero-padded, length mod 256 on top.
+    let rest = chunks.remainder();
+    let mut tail = [0u8; 8];
+    tail[..rest.len()].copy_from_slice(rest);
+    s.compress(u64::from_le_bytes(tail) | ((bytes.len() as u64) << 56));
+    s.v2 ^= 0xff;
+    for _ in 0..4 {
+        s.round();
+    }
+    s.v0 ^ s.v1 ^ s.v2 ^ s.v3
 }
 
 /// A 128-bit content digest; the hex form names the record on disk.
@@ -70,8 +141,8 @@ impl Fingerprint {
     /// Digest a canonical byte stream.
     pub fn of_bytes(bytes: &[u8]) -> Self {
         Fingerprint {
-            lo: fx_hash(SALT_LO, bytes),
-            hi: fx_hash(SALT_HI, bytes),
+            lo: siphash24(SIP_KEY_LO, bytes),
+            hi: siphash24(SIP_KEY_HI, bytes),
         }
     }
 
@@ -121,53 +192,23 @@ pub fn fingerprint_experiment(experiment: &Experiment) -> Fingerprint {
 }
 
 /// The canonical byte encoding [`fingerprint_experiment`] hashes.
-/// Exposed so tests can assert the encoding itself is deterministic and
-/// injective over single-field edits.
+/// Exposed so tests can assert the encoding itself is deterministic,
+/// injective over single-field edits, and O(1) in program size.
 pub fn canonical_experiment_bytes(experiment: &Experiment) -> Vec<u8> {
-    let programs = experiment
-        .workload
-        .programs(experiment.strategy.wants_instrumentation());
-    canonical_parts_bytes(
-        &programs,
-        experiment.strategy,
-        &experiment.engine,
-        experiment.node_config.as_ref(),
-        experiment.network.as_ref(),
-    )
-}
-
-/// Fingerprint from already-built parts — for callers that assemble
-/// programs directly (e.g. with a custom [`mpi_sim::MsgCostModel`], which
-/// is baked into the lowered ops and therefore into this digest).
-pub fn fingerprint_parts(
-    programs: &[Program],
-    strategy: DvsStrategy,
-    engine: &EngineConfig,
-) -> Fingerprint {
-    Fingerprint::of_bytes(&canonical_parts_bytes(
-        programs, strategy, engine, None, None,
-    ))
-}
-
-fn canonical_parts_bytes(
-    programs: &[Program],
-    strategy: DvsStrategy,
-    engine: &EngineConfig,
-    node_config: Option<&NodeConfig>,
-    network: Option<&NetworkParams>,
-) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.put_raw(FINGERPRINT_MAGIC);
     w.put_u32(STORE_FORMAT_VERSION);
-    encode_strategy(&mut w, strategy, node_config);
-    encode_programs(&mut w, programs);
-    encode_engine(&mut w, engine);
+    encode_strategy(&mut w, experiment.strategy, experiment.node_config.as_ref());
+    encode_workload(&mut w, &experiment.workload);
+    // The one lowering input besides the workload itself.
+    w.put_bool(experiment.strategy.wants_instrumentation());
+    encode_engine(&mut w, &experiment.engine);
     // Cluster overrides enter via their `Debug` form: Rust formats f64
     // with shortest-round-trip precision, so distinct parameter values
     // produce distinct strings, and the default (None) is encoded
     // distinctly from an explicit override that happens to match it.
-    encode_debug_override(&mut w, node_config);
-    encode_debug_override(&mut w, network);
+    encode_debug_override(&mut w, experiment.node_config.as_ref());
+    encode_debug_override(&mut w, experiment.network.as_ref());
     w.into_bytes()
 }
 
@@ -217,86 +258,90 @@ fn encode_strategy(w: &mut ByteWriter, strategy: DvsStrategy, node_config: Optio
     }
 }
 
-fn encode_programs(w: &mut ByteWriter, programs: &[Program]) {
-    w.put_usize(programs.len());
-    for program in programs {
-        w.put_usize(program.len());
-        for op in program.ops() {
-            encode_op(w, op);
-        }
-    }
-}
-
-fn encode_op(w: &mut ByteWriter, op: &Op) {
-    match op {
-        Op::Compute(work) => {
+/// The workload *description*. Every variant and every class gets a
+/// fixed tag, and the match has no wildcard, so a new variant does not
+/// compile until it has an encoding.
+fn encode_workload(w: &mut ByteWriter, workload: &Workload) {
+    match workload {
+        Workload::Ft { class, ranks } => {
             w.put_u8(0);
-            w.put_f64(work.cpu_cycles);
-            w.put_f64(work.l2_accesses);
-            w.put_f64(work.dram_accesses);
+            w.put_u8(match class {
+                FtClass::A => 0,
+                FtClass::B => 1,
+                FtClass::C => 2,
+                FtClass::Test => 3,
+            });
+            w.put_usize(*ranks);
         }
-        Op::Send { dst, bytes, tag } => {
+        Workload::FtScale { ranks } => {
             w.put_u8(1);
-            w.put_usize(*dst);
-            w.put_u64(*bytes);
-            w.put_u32(*tag);
+            w.put_usize(*ranks);
         }
-        Op::Recv { src, tag } => {
+        Workload::Transpose { iterations } => {
             w.put_u8(2);
-            w.put_usize(*src);
-            w.put_u32(*tag);
+            w.put_u32(*iterations);
         }
-        Op::SendRecv {
-            dst,
-            send_bytes,
-            send_tag,
-            src,
-            recv_tag,
-        } => {
+        Workload::Cg { class, ranks } => {
             w.put_u8(3);
-            w.put_usize(*dst);
-            w.put_u64(*send_bytes);
-            w.put_u32(*send_tag);
-            w.put_usize(*src);
-            w.put_u32(*recv_tag);
+            w.put_u8(match class {
+                CgClass::A => 0,
+                CgClass::B => 1,
+                CgClass::C => 2,
+                CgClass::Test => 3,
+            });
+            w.put_usize(*ranks);
         }
-        Op::Isend { dst, bytes, tag } => {
+        Workload::Mg { class, ranks } => {
             w.put_u8(4);
-            w.put_usize(*dst);
-            w.put_u64(*bytes);
-            w.put_u32(*tag);
+            w.put_u8(match class {
+                MgClass::A => 0,
+                MgClass::B => 1,
+                MgClass::C => 2,
+                MgClass::Test => 3,
+            });
+            w.put_usize(*ranks);
         }
-        Op::Irecv { src, tag } => {
-            w.put_u8(5);
-            w.put_usize(*src);
-            w.put_u32(*tag);
-        }
-        Op::WaitAll => w.put_u8(6),
-        Op::SetSpeed(request) => {
+        Workload::Swim => w.put_u8(5),
+        Workload::Mgrid => w.put_u8(6),
+        Workload::MemoryMicro(cfg) => {
             w.put_u8(7);
-            encode_speed_request(w, *request);
+            encode_micro(w, cfg);
         }
-        Op::PhaseBegin(name) => {
+        Workload::CpuMicro(cfg) => {
             w.put_u8(8);
-            w.put_str(name);
+            encode_micro(w, cfg);
         }
-        Op::PhaseEnd(name) => {
+        Workload::RegisterMicro(cfg) => {
             w.put_u8(9);
-            w.put_str(name);
+            encode_micro(w, cfg);
+        }
+        Workload::Comm(cfg) => {
+            w.put_u8(10);
+            encode_comm(w, cfg);
         }
     }
 }
 
-fn encode_speed_request(w: &mut ByteWriter, request: AppSpeedRequest) {
-    match request {
-        AppSpeedRequest::Lowest => w.put_u8(0),
-        AppSpeedRequest::Highest => w.put_u8(1),
-        AppSpeedRequest::Index(i) => {
-            w.put_u8(2);
-            w.put_usize(i);
+fn encode_micro(w: &mut ByteWriter, cfg: &MicroConfig) {
+    let MicroConfig { passes } = cfg;
+    w.put_u64(*passes);
+}
+
+fn encode_comm(w: &mut ByteWriter, cfg: &CommMicroConfig) {
+    let CommMicroConfig {
+        message_bytes,
+        assemble_stride,
+        round_trips,
+    } = cfg;
+    w.put_u64(*message_bytes);
+    match assemble_stride {
+        None => w.put_u8(0),
+        Some(stride) => {
+            w.put_u8(1);
+            w.put_u64(*stride);
         }
-        AppSpeedRequest::Restore => w.put_u8(3),
     }
+    w.put_u64(*round_trips);
 }
 
 fn encode_engine(w: &mut ByteWriter, engine: &EngineConfig) {
@@ -497,6 +542,58 @@ mod tests {
         assert_eq!(Fingerprint::from_hex(&fp.to_hex()), Some(fp));
         assert_eq!(Fingerprint::from_hex("not-a-key"), None);
         assert_eq!(Fingerprint::from_hex(&fp.to_hex()[..31]), None);
+    }
+
+    /// The SipHash paper's test vectors: key 00..0f, message 00..(len-1)
+    /// (Appendix A of the paper is the 15-byte case).
+    #[test]
+    fn siphash_matches_the_reference_vectors() {
+        let key = (0x0706_0504_0302_0100, 0x0f0e_0d0c_0b0a_0908);
+        let msg: Vec<u8> = (0u8..64).collect();
+        for (len, want) in [
+            (0, 0x726f_db47_dd0e_0e31),
+            (1, 0x74f8_39c5_93dc_67fd),
+            (2, 0x0d6c_8009_d9a9_4f5a),
+            (7, 0xab02_00f5_8b01_d137),
+            (8, 0x93f5_f579_9a93_2462),
+            (15, 0xa129_ca61_49be_45e5),
+            (63, 0x958a_324c_eb06_4572),
+        ] {
+            assert_eq!(siphash24(key, &msg[..len]), want, "length {len}");
+        }
+    }
+
+    fn cg_b8_with_seed(strategy: DvsStrategy, seed: u64) -> Experiment {
+        let mut e = Experiment::new(Workload::cg_b8(), strategy);
+        e.engine.faults.seed = seed;
+        e
+    }
+
+    /// Regression: under the FxHash digest these two cells shared
+    /// `b6c931479d27951a485aafd8b54e5217`, so the store served one
+    /// cell's record for the other.
+    #[test]
+    fn consecutive_fault_seeds_on_cg_b8_do_not_collide() {
+        let a = cg_b8_with_seed(DvsStrategy::StaticMhz(1400), 224_713_102);
+        let b = cg_b8_with_seed(DvsStrategy::StaticMhz(1400), 224_713_414);
+        assert_ne!(fingerprint_experiment(&a), fingerprint_experiment(&b));
+    }
+
+    #[test]
+    fn two_hundred_thousand_fault_seeds_get_distinct_keys() {
+        let mut keys = Vec::new();
+        for strategy in [
+            DvsStrategy::StaticMhz(1400),
+            DvsStrategy::DynamicBaseMhz(1400),
+        ] {
+            for seed in 224_700_000..224_900_000 {
+                keys.push(fingerprint_experiment(&cg_b8_with_seed(strategy, seed)));
+            }
+        }
+        let total = keys.len();
+        keys.sort_unstable();
+        keys.dedup();
+        assert_eq!(keys.len(), total, "fingerprint collision among fault seeds");
     }
 
     #[test]

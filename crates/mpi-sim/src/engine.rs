@@ -353,9 +353,6 @@ impl Engine {
             FluidNetwork::with_topology(cluster.network().clone(), n, &config.topology);
         let mut fault_counts = FaultCounts::default();
         let faults = FaultRuntime::build(&config.faults, n, &mut network, &mut fault_counts);
-        // Nearly every message-bearing op posts one message; sizing the
-        // arena to the total op count keeps hot-loop pushes reallocation-free.
-        let total_ops: usize = programs.iter().map(|p| p.len()).sum();
         let trace = if config.trace_capacity > 0 {
             Trace::new(config.trace_capacity)
         } else {
@@ -394,7 +391,14 @@ impl Engine {
                     ),
                 })
                 .collect(),
-            msgs: Vec::with_capacity(total_ops),
+            // Grown on demand, not pre-sized to the op count: that
+            // reservation is ~30 MB for cg-b8, just under glibc's 32 MiB
+            // mmap-threshold cap, so whether it is mapped fresh or carved
+            // out of an already-resident heap depends on allocation
+            // history, which moves a long-lived process's peak RSS by
+            // ~20 MB between identical runs. Growth costs log2(messages)
+            // reallocations.
+            msgs: Vec::new(),
             // Message keys are (src, dst, tag); n ranks keep at most a few
             // live tags per pair, so n*n buckets absorb the steady state.
             // Capped: at thousands of ranks n*n would pre-commit hundreds

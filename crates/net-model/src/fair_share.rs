@@ -41,7 +41,8 @@ pub struct FlowEndpoints {
 #[must_use]
 pub struct SolverStats {
     /// Solver calls ([`FairShare::compute_into`] or
-    /// [`FairShare::compute_with_capacities_into`]).
+    /// [`FairShare::compute_with_capacities_into`]) plus incremental
+    /// updates ([`FairShare::note_incremental_update`]).
     pub invocations: u64,
     /// Progressive-filling rounds across all calls (each round freezes at
     /// least one link's flows).
@@ -337,11 +338,13 @@ impl FairShare {
         self.stats
     }
 
-    /// Record incremental-domain bookkeeping from a caller that scopes
+    /// Record one incremental update from a caller that scopes
     /// recomputation to perturbed link domains (the tree-mode fluid
-    /// network) — surfaced through [`SolverStats`] to prove the
-    /// sub-linear asymptotics.
-    pub fn note_domains(&mut self, touched: u64, skipped: u64) {
+    /// network): it counts as an invocation, and its domain bookkeeping
+    /// is surfaced through [`SolverStats`] to prove the sub-linear
+    /// asymptotics.
+    pub fn note_incremental_update(&mut self, touched: u64, skipped: u64) {
+        self.stats.invocations += 1;
         self.stats.domains_touched += touched;
         self.stats.domains_skipped += skipped;
     }

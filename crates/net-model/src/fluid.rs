@@ -383,7 +383,8 @@ impl FluidNetwork {
                 rate = rate.min(tree.qshare[l]);
             }
             tree.path_scratch = path;
-            self.solver.note_domains(touched, skipped);
+            self.solver.note_incremental_update(touched, skipped);
+            self.total_rate_recomputes += 1;
             self.fabric_count += 1;
             rate
         };
@@ -478,17 +479,6 @@ impl FluidNetwork {
         })
     }
 
-    /// Advance to `now` and remove every drained flow, returning
-    /// `(id, src, dst)` for each in id order. Allocates a fresh vector
-    /// per call — every event-loop caller must use
-    /// [`FluidNetwork::take_completed_into`] instead.
-    #[deprecated(note = "allocates a Vec per call; use take_completed_into")]
-    pub fn take_completed(&mut self, now: SimTime) -> Vec<(FlowId, usize, usize)> {
-        let mut done = Vec::new();
-        self.take_completed_into(now, &mut done);
-        done
-    }
-
     /// Advance to `now` and remove every drained flow, appending
     /// `(id, src, dst)` for each in id order to `done` (cleared first).
     /// Rates are only recomputed if a fabric flow actually finished.
@@ -553,6 +543,7 @@ impl FluidNetwork {
             fabric_count,
             total_bytes_delivered,
             total_flows_completed,
+            total_rate_recomputes,
             solver,
             ..
         } = self;
@@ -561,6 +552,7 @@ impl FluidNetwork {
             // simlint: allow(panic-path): callers dispatch here only when tree mode was built; a None is corrupted state
             .expect("take_completed_tree requires tree mode");
         let (mut touched, mut skipped) = (0u64, 0u64);
+        let mut released_fabric = false;
         while let Some(&Reverse((finish, generation, slot))) = tree.heap.peek() {
             if finish > now {
                 break;
@@ -583,6 +575,7 @@ impl FluidNetwork {
             *total_flows_completed += 1;
             tree.active_count -= 1;
             if flow.src != flow.dst {
+                released_fabric = true;
                 *fabric_count -= 1;
                 let mut path = std::mem::take(&mut tree.path_scratch);
                 path.clear();
@@ -599,7 +592,13 @@ impl FluidNetwork {
                 tree.path_scratch = path;
             }
         }
-        solver.note_domains(touched, skipped);
+        // Releasing fabric paths re-derives their links' quantized shares:
+        // one incremental update per harvest, as flat mode runs one
+        // recompute per harvest.
+        if released_fabric {
+            solver.note_incremental_update(touched, skipped);
+            *total_rate_recomputes += 1;
+        }
         done.sort_unstable_by_key(|&(id, _, _)| id.0);
     }
 
@@ -635,9 +634,10 @@ impl FluidNetwork {
         self.total_flows_completed
     }
 
-    /// How many times the full progressive-filling recompute ran (the
-    /// loopback / lone-fabric fast paths don't count — that's the point
-    /// of tracking it).
+    /// How many times rates were re-derived: in flat mode, full
+    /// progressive-filling recomputes (the loopback / lone-fabric fast
+    /// paths don't count — that's the point of tracking it); in tree
+    /// mode, fabric admissions and harvests that released fabric paths.
     pub fn rate_recomputes(&self) -> u64 {
         self.total_rate_recomputes
     }
@@ -715,7 +715,7 @@ mod tests {
 
     #[test]
     fn survivor_rate_restored_without_full_recompute() {
-        // Exercises the fabric_count == 1 fast path in take_completed.
+        // Exercises the fabric_count == 1 fast path in take_completed_into.
         let mut n = net(3);
         n.start_flow(SimTime::ZERO, 0, 1, 1_000_000);
         let long = n.start_flow(SimTime::ZERO, 0, 2, 5_000_000);
@@ -881,6 +881,50 @@ mod tests {
             nodes,
             &Topology::FatTree { radix, oversub },
         )
+    }
+
+    /// Tree mode counts its rate work like flat mode does. The pinned
+    /// drain was recorded from a network without those counters, so it
+    /// also checks that counting never perturbs the simulation.
+    #[test]
+    fn tree_counters_track_work_without_changing_the_drain() {
+        let mut n = tree_net(8, 2, 2.0);
+        for (src, dst, bytes) in [
+            (0, 5, 300_000u64),
+            (1, 4, 200_000),
+            (4, 1, 250_000),
+            (5, 0, 100_000),
+            (2, 3, 150_000),
+        ] {
+            n.start_flow(SimTime::ZERO, src, dst, bytes);
+        }
+        let mut events = Vec::new();
+        let mut late = false;
+        while let Some(t) = n.next_completion() {
+            for (id, src, dst) in take(&mut n, t) {
+                events.push((t.0, id.0, src, dst));
+            }
+            if !late {
+                late = true;
+                n.start_flow(t, 6, 1, 120_000);
+            }
+        }
+        assert_eq!(
+            events,
+            vec![
+                (13_043_478_262, 4, 2, 3),
+                (17_391_304_349, 3, 5, 0),
+                (21_739_130_436, 2, 4, 1),
+                (26_086_956_523, 0, 0, 5),
+                (34_782_608_697, 1, 1, 4),
+                (44_347_855_943, 4, 6, 1),
+            ]
+        );
+        // Six fabric admissions plus six harvests that released a path.
+        let stats = n.solver_stats();
+        assert_eq!(stats.invocations, 12, "{stats:?}");
+        assert_eq!(n.rate_recomputes(), 12);
+        assert_eq!((stats.domains_touched, stats.domains_skipped), (24, 40));
     }
 
     #[test]

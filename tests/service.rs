@@ -69,6 +69,9 @@ fn daemon_sweep_is_bit_identical_and_warm_queries_execute_nothing() {
     assert_eq!(status.counter("service.engine_runs"), Some(3));
     assert_eq!(status.counter("service.queries"), Some(1));
     assert_eq!(status.counter("service.inflight"), Some(0));
+    // One pass at startup, one after the cold sweep's writes; the warm
+    // sweep and the query wrote nothing, so they add none.
+    assert_eq!(status.counter("service.compactions"), Some(2));
 
     // A query over a grid the store has never seen counts missing cells
     // without running them.
