@@ -33,7 +33,7 @@
 //! Memory-stall phases and network flows are frequency-invariant and
 //! proceed through transitions untouched.
 
-use std::collections::VecDeque;
+use std::collections::hash_map::Entry;
 
 use cluster_sim::{Cluster, Node};
 use dvfs::{ClusterController, Decision, Governor, PerNodeGovernors};
@@ -52,14 +52,11 @@ use crate::faults::FaultRuntime;
 use crate::program::{Op, Program, Rank, Tag};
 use crate::result::{RankBreakdown, RunResult, SampleRow};
 
+/// Slot index into the engine's message arena. Slots are recycled once
+/// their message is delivered, so an id names a message only while it is
+/// in flight; [`Msg::seq`] is the run-stable identity.
 type MsgId = usize;
 type MsgKey = (Rank, Rank, Tag);
-
-/// Upper bound on the pending-send/-recv map pre-allocation. The `n*n`
-/// sizing heuristic is right for paper-scale clusters but would commit
-/// hundreds of megabytes of empty buckets at 4096 ranks; past this many
-/// buckets the maps grow on demand instead.
-const PENDING_MAP_CAPACITY_CAP: usize = 1 << 16;
 
 #[derive(Debug)]
 enum Event {
@@ -147,12 +144,23 @@ struct RankRuntime {
     outstanding_sends: FxHashSet<MsgId>,
     /// Irecvs matched to a message but not yet delivered.
     outstanding_recvs_matched: FxHashSet<MsgId>,
-    /// Irecvs posted with no matching send yet, counted per key.
+    /// Irecvs posted with no matching send yet, counted per key. A key is
+    /// removed when its count reaches zero, so an empty map means none.
     outstanding_recvs_unmatched: FxHashMap<MsgKey, usize>,
 }
 
 #[derive(Debug)]
 struct Msg {
+    /// Lifetime post index: the run's n-th posted send has `seq == n`.
+    /// The causal log is indexed by it, so causal ids do not depend on
+    /// slot reuse.
+    seq: usize,
+    /// False once the message is delivered and its slot is on the free
+    /// list.
+    live: bool,
+    /// Next unmatched send on the same key: the link of the pending-send
+    /// FIFO whose ends `Engine::pending_sends` holds.
+    next: Option<MsgId>,
     src: Rank,
     dst: Rank,
     bytes: u64,
@@ -213,6 +221,19 @@ fn plan_compute(w: &WorkUnit, node: &Node) -> ComputePlan {
     }
 }
 
+/// Take one from `key`'s count, removing the key when it reaches zero so
+/// the map holds only keys still waiting. False when the key is absent.
+fn take_count(counts: &mut FxHashMap<MsgKey, usize>, key: MsgKey) -> bool {
+    let Entry::Occupied(mut e) = counts.entry(key) else {
+        return false;
+    };
+    *e.get_mut() -= 1;
+    if *e.get() == 0 {
+        e.remove();
+    }
+    true
+}
+
 /// Sanitizer checkpoint tags: which instant produced a digest. Folded
 /// into the hash so a stream that drops one checkpoint and gains another
 /// cannot collide back to equality.
@@ -269,9 +290,19 @@ pub struct Engine {
     queue: EventQueue<Event>,
     now: SimTime,
     ranks: Vec<RankRuntime>,
+    /// Message arena. A slot returns to `free_msgs` when its message is
+    /// delivered, so the arena grows with the messages in flight, not
+    /// with the messages posted: its length is the live high-water mark.
     msgs: Vec<Msg>,
-    pending_sends: FxHashMap<MsgKey, VecDeque<MsgId>>,
-    pending_recvs: FxHashMap<MsgKey, VecDeque<()>>,
+    free_msgs: Vec<MsgId>,
+    /// Sends posted so far: the next message's [`Msg::seq`].
+    msgs_posted: usize,
+    /// Unmatched sends per key: the (head, tail) slots of a FIFO linked
+    /// through [`Msg::next`]. A key is removed when its FIFO empties.
+    pending_sends: FxHashMap<MsgKey, (MsgId, MsgId)>,
+    /// Receives posted with no matching send yet, counted per key. A key
+    /// is removed when its count reaches zero.
+    pending_recvs: FxHashMap<MsgKey, usize>,
     /// Message owning each network flow slot. Flow ids are small densely
     /// reused slot indices, so a flat vector beats a hash map here.
     flow_to_msg: Vec<Option<MsgId>>,
@@ -391,26 +422,13 @@ impl Engine {
                     ),
                 })
                 .collect(),
-            // Grown on demand, not pre-sized to the op count: that
-            // reservation is ~30 MB for cg-b8, just under glibc's 32 MiB
-            // mmap-threshold cap, so whether it is mapped fresh or carved
-            // out of an already-resident heap depends on allocation
-            // history, which moves a long-lived process's peak RSS by
-            // ~20 MB between identical runs. Growth costs log2(messages)
-            // reallocations.
             msgs: Vec::new(),
-            // Message keys are (src, dst, tag); n ranks keep at most a few
-            // live tags per pair, so n*n buckets absorb the steady state.
-            // Capped: at thousands of ranks n*n would pre-commit hundreds
-            // of MB per map for buckets mostly never touched.
-            pending_sends: FxHashMap::with_capacity_and_hasher(
-                (n * n).min(PENDING_MAP_CAPACITY_CAP),
-                Default::default(),
-            ),
-            pending_recvs: FxHashMap::with_capacity_and_hasher(
-                (n * n).min(PENDING_MAP_CAPACITY_CAP),
-                Default::default(),
-            ),
+            free_msgs: Vec::new(),
+            msgs_posted: 0,
+            // Matched keys are retired, so the maps hold only the keys
+            // with messages in flight: a few per rank.
+            pending_sends: FxHashMap::with_capacity_and_hasher(n, Default::default()),
+            pending_recvs: FxHashMap::with_capacity_and_hasher(n, Default::default()),
             flow_to_msg: Vec::new(),
             net_event: None,
             finished: 0,
@@ -932,7 +950,7 @@ impl Engine {
         let rt = &self.ranks[r];
         !rt.outstanding_sends.is_empty()
             || !rt.outstanding_recvs_matched.is_empty()
-            || rt.outstanding_recvs_unmatched.values().any(|&c| c > 0)
+            || !rt.outstanding_recvs_unmatched.is_empty()
     }
 
     /// An outstanding non-blocking op completed; resume a rank parked in
@@ -984,9 +1002,13 @@ impl Engine {
     // ----- messaging -------------------------------------------------------
 
     fn post_send(&mut self, src: Rank, dst: Rank, bytes: u64, tag: Tag) -> MsgId {
-        let id = self.msgs.len();
+        let seq = self.msgs_posted;
+        self.msgs_posted += 1;
         let collective = tag >= crate::program::ProgramBuilder::COLLECTIVE_TAG_BASE;
-        self.msgs.push(Msg {
+        let msg = Msg {
+            seq,
+            live: true,
+            next: None,
             src,
             dst,
             bytes,
@@ -995,10 +1017,19 @@ impl Engine {
             drained_at: None,
             posted_at: self.now,
             collective,
-        });
+        };
+        let id = match self.free_msgs.pop() {
+            Some(id) => {
+                self.msgs[id] = msg;
+                id
+            }
+            None => {
+                self.msgs.push(msg);
+                self.msgs.len() - 1
+            }
+        };
         if let Some(c) = self.causal.as_deref_mut() {
-            // Pushed in lockstep with `msgs`, so the causal record shares
-            // the engine's message id.
+            // Pushed once per post, so the record's index is `seq`.
             c.log.msgs.push(MsgRecord {
                 src,
                 dst,
@@ -1018,18 +1049,20 @@ impl Engine {
         obs_count!(self.metrics, "engine.msgs.posted", 1);
         obs_count!(self.metrics, "engine.msgs.bytes_posted", bytes);
         let key = (src, dst, tag);
-        let matched = match self.pending_recvs.get_mut(&key) {
-            Some(q) if !q.is_empty() => {
-                q.pop_front();
-                true
-            }
-            _ => false,
-        };
-        if matched {
+        if take_count(&mut self.pending_recvs, key) {
             self.msgs[id].recv_posted = true;
             self.rebind_receiver_wait(dst, key, id);
         } else {
-            self.pending_sends.entry(key).or_default().push_back(id);
+            match self.pending_sends.entry(key) {
+                Entry::Occupied(mut e) => {
+                    let (_, tail) = e.get_mut();
+                    self.msgs[*tail].next = Some(id);
+                    *tail = id;
+                }
+                Entry::Vacant(e) => {
+                    e.insert((id, id));
+                }
+            }
         }
         let eager = bytes <= self.config.eager_threshold;
         if eager || self.msgs[id].recv_posted {
@@ -1042,13 +1075,22 @@ impl Engine {
     /// the wait descriptor.
     fn post_recv(&mut self, dst: Rank, src: Rank, tag: Tag) -> Option<RecvWait> {
         let key = (src, dst, tag);
-        let send_id = match self.pending_sends.get_mut(&key) {
-            Some(q) => q.pop_front(),
-            None => None,
+        let send_id = match self.pending_sends.entry(key) {
+            Entry::Occupied(mut e) => {
+                let head = e.get().0;
+                match self.msgs[head].next.take() {
+                    Some(next) => e.get_mut().0 = next,
+                    None => {
+                        e.remove();
+                    }
+                }
+                Some(head)
+            }
+            Entry::Vacant(_) => None,
         };
         match send_id {
             None => {
-                self.pending_recvs.entry(key).or_default().push_back(());
+                *self.pending_recvs.entry(key).or_insert(0) += 1;
                 Some(RecvWait::Unmatched(key))
             }
             Some(id) => {
@@ -1063,13 +1105,14 @@ impl Engine {
                             if let Some(c) = self.causal.as_deref_mut() {
                                 // Physical arrival time: the payload was
                                 // already here when the recv posted.
-                                c.log.msgs[id].delivered_at = Some(deliver_at);
+                                c.log.msgs[self.msgs[id].seq].delivered_at = Some(deliver_at);
                             }
                             self.trace
                                 .record_with(self.now, dst, TraceKind::MsgEnd, || {
                                     TraceDetail::MsgFrom { src }
                                 });
                             self.observe_delivery(id);
+                            self.free_msg(id);
                             None // already here
                         } else {
                             self.queue.push(deliver_at, Event::Delivered(id));
@@ -1098,23 +1141,24 @@ impl Engine {
                 return;
             }
         }
-        if let Some(count) = self.ranks[dst].outstanding_recvs_unmatched.get_mut(&key) {
-            if *count > 0 {
-                *count -= 1;
-                self.ranks[dst].outstanding_recvs_matched.insert(id);
-            }
+        let rt = &mut self.ranks[dst];
+        if take_count(&mut rt.outstanding_recvs_unmatched, key) {
+            rt.outstanding_recvs_matched.insert(id);
         }
     }
 
     fn start_flow_for(&mut self, id: MsgId) {
-        let (src, dst, bytes) = {
-            let m = &self.msgs[id];
-            (m.src, m.dst, m.bytes)
-        };
+        let Msg {
+            src,
+            dst,
+            bytes,
+            seq,
+            ..
+        } = self.msgs[id];
         let flow = self.network.start_flow(self.now, src, dst, bytes);
         self.msgs[id].flow_started = true;
         if let Some(c) = self.causal.as_deref_mut() {
-            c.log.msgs[id].flow_started_at = Some(self.now);
+            c.log.msgs[seq].flow_started_at = Some(self.now);
         }
         if flow.0 >= self.flow_to_msg.len() {
             self.flow_to_msg.resize(flow.0 + 1, None);
@@ -1151,8 +1195,9 @@ impl Engine {
                 // simlint: allow(panic-path): flow/message bookkeeping invariant; a miss means corrupted engine state and must stop the run
                 .expect("completed flow without a message");
             self.msgs[id].drained_at = Some(self.now);
+            let seq = self.msgs[id].seq;
             if let Some(c) = self.causal.as_deref_mut() {
-                c.log.msgs[id].drained_at = Some(self.now);
+                c.log.msgs[seq].drained_at = Some(self.now);
             }
             self.refresh_nic(src);
             self.refresh_nic(dst);
@@ -1164,12 +1209,12 @@ impl Engine {
             {
                 if *ns == Some(id) {
                     *ns = None;
-                    self.maybe_resume_waiter(src, WaitCause::SendDrained(id));
+                    self.maybe_resume_waiter(src, WaitCause::SendDrained(seq));
                 }
             }
             // Non-blocking sender: strike the isend off the outstanding set.
             if self.ranks[src].outstanding_sends.remove(&id) {
-                self.maybe_resume_waitall(src, WaitCause::SendDrained(id));
+                self.maybe_resume_waitall(src, WaitCause::SendDrained(seq));
             }
             // Receiver side completes after the wire latency, if posted.
             if self.msgs[id].recv_posted {
@@ -1201,11 +1246,28 @@ impl Engine {
         obs_count!(self.metrics, "engine.msgs.delivered", 1);
     }
 
+    /// Return a delivered message's slot to the free list. Delivery is
+    /// the last reference: each message is delivered exactly once, after
+    /// its sender released it at drain and its receiver matched it.
+    fn free_msg(&mut self, id: MsgId) {
+        self.msgs[id].live = false;
+        self.free_msgs.push(id);
+    }
+
     fn on_delivered(&mut self, id: MsgId) {
-        let dst = self.msgs[id].dst;
-        let src = self.msgs[id].src;
+        let Msg {
+            live,
+            src,
+            dst,
+            seq,
+            ..
+        } = self.msgs[id];
+        if !live {
+            // simlint: allow(panic-path): every message is delivered exactly once, so a recycled slot here is corrupted engine state and must stop the run
+            panic!("delivery for recycled message slot {id}");
+        }
         if let Some(c) = self.causal.as_deref_mut() {
-            c.log.msgs[id].delivered_at = Some(self.now);
+            c.log.msgs[seq].delivered_at = Some(self.now);
         }
         self.trace
             .record_with(self.now, dst, TraceKind::MsgEnd, || TraceDetail::MsgFrom {
@@ -1219,13 +1281,16 @@ impl Engine {
         {
             if *nr == Some(RecvWait::Matched(id)) {
                 *nr = None;
-                self.maybe_resume_waiter(dst, WaitCause::RecvDelivered(id));
+                self.maybe_resume_waiter(dst, WaitCause::RecvDelivered(seq));
             }
         }
         // Non-blocking receiver: strike the irecv off the outstanding set.
         if self.ranks[dst].outstanding_recvs_matched.remove(&id) {
-            self.maybe_resume_waitall(dst, WaitCause::RecvDelivered(id));
+            self.maybe_resume_waitall(dst, WaitCause::RecvDelivered(seq));
         }
+        // Last: the waiters resumed above may post messages, and the slot
+        // must not be reused while `id` is still being matched here.
+        self.free_msg(id);
     }
 
     // ----- DVFS ------------------------------------------------------------
@@ -1596,6 +1661,9 @@ impl Engine {
             m.counter_add("engine.queue.pushed", pushed);
             m.counter_add("engine.queue.cancelled", cancelled);
             m.counter_add("engine.queue.processed", self.queue.processed_total());
+            // Slots are only appended when none is free, so the arena's
+            // length is the most messages ever in flight at once.
+            m.gauge_set("engine.msgs.live_hwm", self.msgs.len() as f64);
             m.gauge_set(
                 "engine.queue.depth_hwm",
                 self.queue.depth_high_water() as f64,

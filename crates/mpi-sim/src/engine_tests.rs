@@ -472,6 +472,25 @@ mod nonblocking_tests {
     }
 
     #[test]
+    fn repeated_nonblocking_alltoall_retires_irecv_keys() {
+        // Every round posts its irecvs on fresh collective tags, mostly
+        // before the matching isends: each round adds and retires n-1
+        // unmatched-irecv keys per rank. Rank-skewed compute mixes the
+        // post orders. The pins are the engine's results from before
+        // matched keys were retired; they must not move.
+        let res = run(4, |b| {
+            let skew = (b.rank() + 1) as f64;
+            for round in 0..300 {
+                b.alltoall_nonblocking(8 * 1024);
+                b.compute(WorkUnit::pure_cpu(1.0e5 * skew * (round % 3 + 1) as f64));
+            }
+        });
+        assert_eq!(res.duration.as_ps(), 837_477_912_029);
+        assert_eq!(res.events, 14_096);
+        assert_eq!(res.total_energy_j().to_bits(), 0x404f_d59f_af6d_2ffc);
+    }
+
+    #[test]
     #[should_panic(expected = "deadlock")]
     fn waitall_on_unmatched_irecv_deadlocks_loudly() {
         let _ = run(2, |b| {
@@ -649,6 +668,71 @@ mod edge_case_tests {
         assert!(res.breakdown[1].wait_blocked.as_secs_f64() > 0.99);
         assert!(res.breakdown[1].wait_busy.as_secs_f64() < 0.002);
         assert!((res.duration_secs() - 1.0).abs() < 0.01);
+    }
+}
+
+mod message_state_tests {
+    use super::*;
+    use crate::program::ProgramBuilder;
+    use dvfs::StaticGovernor;
+    use mem_model::WorkUnit;
+
+    /// A CG-style solver loop: per iteration a local SpMV, a halo
+    /// exchange with both ring neighbours, and two dot-product
+    /// allreduces. Every collective takes a fresh tag, so every message
+    /// of the run has a distinct (src, dst, tag) key.
+    fn cg_step_loop(n: usize, iters: u32) -> Vec<Program> {
+        (0..n)
+            .map(|r| {
+                let mut b = ProgramBuilder::new(r, n);
+                for iter in 0..iters {
+                    b.compute(WorkUnit {
+                        cpu_cycles: 2.0e6 * (r + 1) as f64,
+                        l2_accesses: 1.0e4,
+                        dram_accesses: 5.0e3,
+                    });
+                    b.sendrecv((r + 1) % n, 8192, iter, (r + n - 1) % n, 8192, iter);
+                    b.allreduce(8);
+                    b.allreduce(8);
+                }
+                b.build()
+            })
+            .collect()
+    }
+
+    /// `(engine.msgs.live_hwm, engine.msgs.posted)` for `iters` steps.
+    fn live_hwm(iters: u32) -> (f64, u64) {
+        let n = 8;
+        let governors: Vec<Box<dyn Governor>> = (0..n)
+            .map(|_| Box::new(StaticGovernor::performance()) as Box<dyn Governor>)
+            .collect();
+        let config = EngineConfig {
+            metrics: true,
+            ..EngineConfig::default()
+        };
+        let res = Engine::new(
+            Cluster::paper_testbed(n),
+            cg_step_loop(n, iters),
+            governors,
+            config,
+        )
+        .run();
+        let m = res.metrics.as_ref().expect("metrics run");
+        (
+            m.gauge("engine.msgs.live_hwm").expect("live_hwm published"),
+            m.counter("engine.msgs.posted").expect("posted counted"),
+        )
+    }
+
+    #[test]
+    fn message_state_is_bounded_by_messages_in_flight() {
+        let (hwm_10, posted_10) = live_hwm(10);
+        let (hwm_100, posted_100) = live_hwm(100);
+        assert_eq!(posted_100, 10 * posted_10);
+        // Delivered messages give their slots back, so ten times the
+        // iterations reuse the same slots rather than growing the arena.
+        assert_eq!(hwm_10, hwm_100, "message arena grew with run length");
+        assert!(hwm_100 < posted_10 as f64, "slots must be recycled");
     }
 }
 

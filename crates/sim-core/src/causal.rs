@@ -17,8 +17,9 @@
 
 use crate::time::SimTime;
 
-/// Index into [`CausalLog::msgs`]; identical to the engine's internal
-/// message arena index, recorded in lockstep.
+/// Index into [`CausalLog::msgs`]: the message's position in post order
+/// (the engine's lifetime message sequence number, not its recycled
+/// arena slot).
 pub type CausalMsgId = usize;
 
 /// The observable life of one point-to-point message (collectives are

@@ -131,6 +131,56 @@ fn attribution_is_identical_at_any_shard_count() {
     }
 }
 
+/// The engine recycles a message's arena slot once it is delivered, but
+/// causal ids are post order: the log holds exactly one record per posted
+/// message, indexed `0..posted`, and every wait names a distinct
+/// completion of the message that really released it.
+#[test]
+fn causal_message_ids_are_post_order_under_slot_reuse() {
+    use sim_core::WaitCause;
+    let result = Experiment::new(Workload::cg_b8(), DvsStrategy::StaticMhz(1400))
+        .with_engine(EngineConfig {
+            causal: true,
+            metrics: true,
+            ..EngineConfig::default()
+        })
+        .run();
+    let metrics = result.metrics.as_ref().expect("metrics run");
+    let posted = metrics.counter("engine.msgs.posted").expect("posted") as usize;
+    let live_hwm = metrics.gauge("engine.msgs.live_hwm").expect("live_hwm") as usize;
+    assert!(
+        live_hwm * 100 < posted,
+        "run must reuse slots: {live_hwm} slots for {posted} messages"
+    );
+    let log = result.causal.as_ref().expect("causal log");
+    assert_eq!(log.msgs.len(), posted, "one record per posted message");
+    assert!(
+        log.msgs
+            .windows(2)
+            .all(|w| w[0].posted_at <= w[1].posted_at),
+        "records must be in post order"
+    );
+    assert!(log.msgs.iter().all(|m| m.delivered_at.is_some()));
+    let mut seen = std::collections::HashSet::new();
+    for w in &log.waits {
+        let drained = matches!(w.cause, WaitCause::SendDrained(_));
+        assert!(
+            seen.insert((drained, w.cause.msg())),
+            "{:?} released two waits",
+            w.cause
+        );
+        let m = &log.msgs[w.cause.msg()];
+        match w.cause {
+            WaitCause::SendDrained(_) => {
+                assert_eq!((m.src, m.drained_at), (w.rank, Some(w.end)));
+            }
+            WaitCause::RecvDelivered(_) => {
+                assert_eq!((m.dst, m.delivered_at), (w.rank, Some(w.end)));
+            }
+        }
+    }
+}
+
 /// Causal recording is observation only: every simulated quantity must be
 /// bit-identical with the recorder on or off.
 #[test]
