@@ -52,14 +52,14 @@ fn bench_collective_lowering(c: &mut Criterion) {
             b.iter(|| {
                 let mut builder = ProgramBuilder::new(0, n);
                 builder.alltoall(4096);
-                builder.build().len()
+                builder.build().expanded().count()
             })
         });
         group.bench_with_input(BenchmarkId::new("barrier", ranks), &ranks, |b, &n| {
             b.iter(|| {
                 let mut builder = ProgramBuilder::new(0, n);
                 builder.barrier();
-                builder.build().len()
+                builder.build().expanded().count()
             })
         });
     }

@@ -128,7 +128,7 @@ impl AutoTuner {
     /// phase containing a selected inner one): only the *outermost*
     /// begin scales down and only the matching outermost end restores,
     /// so an inner `PhaseEnd` never restores full speed while an outer
-    /// selected phase is still open.
+    /// selected phase is still open. Collectives pass through compact.
     pub fn instrument(programs: &[Program], phases: &BTreeSet<String>) -> Vec<Program> {
         programs
             .iter()
@@ -155,7 +155,7 @@ impl AutoTuner {
                         other => ops.push(other.clone()),
                     }
                 }
-                Program::from_ops(ops)
+                p.with_ops(ops)
             })
             .collect()
     }

@@ -41,6 +41,12 @@ impl ByteWriter {
         self.buf.is_empty()
     }
 
+    /// Make room for `additional` more bytes at once, so a large
+    /// payload of known size is not grown by repeated doubling.
+    pub fn reserve(&mut self, additional: usize) {
+        self.buf.reserve(additional);
+    }
+
     /// Append raw bytes verbatim (magic numbers, fingerprint digests).
     pub fn put_raw(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);

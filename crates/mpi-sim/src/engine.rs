@@ -49,7 +49,7 @@ use sim_core::{
 
 use crate::config::{EngineConfig, WaitPolicy};
 use crate::faults::FaultRuntime;
-use crate::program::{Op, Program, Rank, Tag};
+use crate::program::{Cursor, Op, Program, Rank, Tag};
 use crate::result::{RankBreakdown, RunResult, SampleRow};
 
 /// Slot index into the engine's message arena. Slots are recycled once
@@ -134,7 +134,9 @@ enum Bucket {
 
 #[derive(Debug)]
 struct RankRuntime {
-    pc: usize,
+    /// Position in the rank's expanded program; its
+    /// [`Cursor::position`] is the program counter.
+    cursor: Cursor,
     state: RState,
     bucket: Bucket,
     bucket_since: SimTime,
@@ -171,8 +173,9 @@ struct Msg {
     /// used for the delivery-latency histograms.
     posted_at: SimTime,
     /// Whether the tag marks collective-internal traffic
-    /// ([`crate::ProgramBuilder`] lowers collectives onto a reserved tag
-    /// range), splitting the latency histograms by origin.
+    /// (collectives expand onto a reserved tag range, see
+    /// [`crate::ProgramBuilder::COLLECTIVE_TAG_BASE`]), splitting the
+    /// latency histograms by origin.
     collective: bool,
 }
 
@@ -405,7 +408,7 @@ impl Engine {
             now: SimTime::ZERO,
             ranks: (0..n)
                 .map(|_| RankRuntime {
-                    pc: 0,
+                    cursor: Cursor::default(),
                     state: RState::Stalled,
                     bucket: Bucket::None,
                     bucket_since: SimTime::ZERO,
@@ -557,15 +560,17 @@ impl Engine {
     /// perturbed by other ranks' Resume/PhaseDone handlers (cross-rank
     /// resumption only happens from network events), so a plan taken now
     /// is still exact when the event dispatches.
-    fn plan_target(&self, ev: &Event) -> Option<(Rank, usize)> {
+    fn plan_target(&self, ev: &Event) -> Option<(Rank, usize, WorkUnit)> {
         let r = match *ev {
             Event::Resume(r) if matches!(self.ranks[r].state, RState::Stalled) => r,
             Event::PhaseDone(r) if matches!(self.ranks[r].state, RState::ComputeStall) => r,
             _ => return None,
         };
-        let pc = self.ranks[r].pc;
-        match self.programs[r].ops().get(pc) {
-            Some(Op::Compute(_)) => Some((r, pc)),
+        // Peek through a copy of the cursor.
+        let mut cursor = self.ranks[r].cursor;
+        let pc = cursor.position();
+        match cursor.next(&self.programs[r]) {
+            Some(Op::Compute(w)) => Some((r, pc, w)),
             _ => None,
         }
     }
@@ -605,22 +610,19 @@ impl Engine {
         }
         let mut plans: Vec<Option<ComputePlan>> = vec![None; targets.len()];
         {
-            let programs = &self.programs;
             let cluster = &self.cluster;
             let chunk = targets.len().div_ceil(shards);
             std::thread::scope(|scope| {
                 for (t_chunk, p_chunk) in targets.chunks(chunk).zip(plans.chunks_mut(chunk)) {
                     scope.spawn(move || {
-                        for (&(r, pc), out) in t_chunk.iter().zip(p_chunk.iter_mut()) {
-                            if let Some(Op::Compute(w)) = programs[r].ops().get(pc) {
-                                *out = Some(plan_compute(w, cluster.node(r)));
-                            }
+                        for (&(r, _, w), out) in t_chunk.iter().zip(p_chunk.iter_mut()) {
+                            *out = Some(plan_compute(&w, cluster.node(r)));
                         }
                     });
                 }
             });
         }
-        for (&(r, pc), plan) in targets.iter().zip(plans) {
+        for (&(r, pc, _), plan) in targets.iter().zip(plans) {
             if let Some(p) = plan {
                 self.plan_cache[r] = Some((pc, p));
             }
@@ -703,14 +705,12 @@ impl Engine {
     /// Execute ops for `r` until one blocks or the program ends.
     fn execute_next(&mut self, r: Rank) {
         loop {
-            let pc = self.ranks[r].pc;
-            if pc >= self.programs[r].len() {
+            let cursor = &mut self.ranks[r].cursor;
+            let pc = cursor.position();
+            let Some(op) = cursor.next(&self.programs[r]) else {
                 self.finish_rank(r);
                 return;
-            }
-            self.ranks[r].pc += 1;
-            // Ops are cheap to clone (WorkUnit is Copy-sized; strings are 'static).
-            let op = self.programs[r].ops()[pc].clone();
+            };
             match op {
                 Op::Compute(w) => {
                     // A plan precomputed by the shard planner for exactly
@@ -832,6 +832,8 @@ impl Engine {
                         return;
                     }
                 }
+                // simlint: allow(panic-path): Cursor::next expands every collective into point-to-point ops and never yields one
+                Op::Collective { .. } => unreachable!("the cursor expands collectives"),
             }
         }
     }
@@ -1596,7 +1598,7 @@ impl Engine {
         h.write_u64(self.queue.len() as u64);
         h.write_u64(self.queue.pushed_total());
         for r in &self.ranks {
-            h.write_u64(r.pc as u64);
+            h.write_u64(r.cursor.position() as u64);
             h.write_u64(r.bucket as u64);
         }
         for i in 0..self.cluster.len() {

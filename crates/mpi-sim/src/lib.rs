@@ -2,10 +2,10 @@
 //!
 //! The MPICH-1.2.5 analog: per-rank programs of compute and message
 //! operations, an eager/rendezvous point-to-point protocol over the fluid
-//! network, collective algorithms lowered to point-to-point at program
-//! build time, and the discrete-event engine that couples programs,
-//! network, power meters, and DVFS governors into one deterministic
-//! simulation.
+//! network, collective algorithms kept as one compact op each and
+//! expanded to point-to-point on demand, and the discrete-event engine
+//! that couples programs, network, power meters, and DVFS governors into
+//! one deterministic simulation.
 //!
 //! Layering:
 //!
@@ -15,7 +15,7 @@
 //!   DVFS slows down;
 //! * [`collectives`] — barrier (dissemination), broadcast/reduce (binomial
 //!   tree), all-to-all (pairwise exchange / ring), gather — the algorithms
-//!   MPICH used, lowered to sends and receives;
+//!   MPICH used, expanded step by step into sends and receives;
 //! * [`engine`] — the simulator: rank state machines, message matching,
 //!   busy-wait/block wait accounting, DVFS transitions with their 10 µs
 //!   stall, governor ticks, and periodic power sampling.
@@ -62,9 +62,10 @@ mod faults;
 pub mod program;
 pub mod result;
 
+pub use collectives::CollectiveKind;
 pub use config::{EngineConfig, MsgCostModel, WaitPolicy};
 pub use engine::Engine;
-pub use program::{Op, Program, ProgramBuilder, Rank, Tag};
+pub use program::{Expanded, Op, Program, ProgramBuilder, Rank, Tag};
 pub use result::{RankBreakdown, RunResult, SampleRow};
 // The cluster-level strategy layer the engine drives (dvfs crate): one
 // controller per run, classic per-node governors wrapped under it.

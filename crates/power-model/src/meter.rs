@@ -7,7 +7,7 @@
 //! energy the way the paper did, and tests can quantify the measurement
 //! error that methodology incurs.
 
-use sim_core::{SimTime, TimeWeighted};
+use sim_core::SimTime;
 
 use crate::activity::CpuActivity;
 use crate::op_point::OperatingPoint;
@@ -95,15 +95,29 @@ impl EnergyReport {
     }
 }
 
+/// The integrated components, in [`EnergyMeter::watts`] order.
+const CPU_DYNAMIC: usize = 0;
+const CPU_STATIC: usize = 1;
+const BASE: usize = 2;
+const MEMORY: usize = 3;
+const NIC: usize = 4;
+const RATES: usize = 5;
+
 /// Integrates one node's power, split by component.
+///
+/// The rate components change together (every input change re-applies
+/// all of them), so they share one clock: each change closes every
+/// component's open segment with the same `dt`, exactly as five
+/// independent time-weighted integrators would.
 #[derive(Debug)]
 pub struct EnergyMeter {
     params: NodePowerParams,
-    cpu_dynamic: TimeWeighted,
-    cpu_static: TimeWeighted,
-    base: TimeWeighted,
-    memory: TimeWeighted,
-    nic: TimeWeighted,
+    /// Start of the open segment.
+    last_change: SimTime,
+    /// Per-component draw over the open segment, watts.
+    watts: [f64; RATES],
+    /// Per-component energy up to `last_change`, joules.
+    joules: [f64; RATES],
     transition_j: f64,
     transitions: u64,
     // Current device state, re-applied whenever any input changes.
@@ -122,11 +136,9 @@ impl EnergyMeter {
         params.validate();
         let activity = CpuActivity::Halt;
         let mut m = EnergyMeter {
-            cpu_dynamic: TimeWeighted::new(start, 0.0),
-            cpu_static: TimeWeighted::new(start, 0.0),
-            base: TimeWeighted::new(start, params.base_w),
-            memory: TimeWeighted::new(start, 0.0),
-            nic: TimeWeighted::new(start, 0.0),
+            last_change: start,
+            watts: [0.0; RATES],
+            joules: [0.0; RATES],
             transition_j: 0.0,
             transitions: 0,
             params,
@@ -146,33 +158,45 @@ impl EnergyMeter {
             .unwrap_or_else(|| self.params.cpu.activity.factor(self.activity))
     }
 
+    /// Seconds from the open segment's start to `now`.
+    #[inline]
+    fn open_secs(&self, now: SimTime) -> f64 {
+        // Always-on: `since` saturates, so a backwards `now` would
+        // silently drop the open segment from the integrals in release
+        // builds.
+        assert!(
+            now >= self.last_change,
+            "time went backwards: {now:?} < {:?}",
+            self.last_change
+        );
+        now.since(self.last_change).as_secs_f64()
+    }
+
+    /// Close the open segment at `now` and start a new one at the
+    /// current device state's draw.
     #[inline]
     fn reapply(&mut self, now: SimTime) {
-        self.cpu_dynamic.set(
-            now,
-            self.params
-                .cpu
-                .dynamic_power_with_factor(self.op, self.dyn_factor()),
-        );
-        self.cpu_static
-            .set(now, self.params.cpu.static_power(self.op));
-        self.base.set(now, self.params.base_w);
-        self.memory.set(
-            now,
-            if self.mem_active {
-                self.params.mem_active_w
-            } else {
-                0.0
-            },
-        );
-        self.nic.set(
-            now,
-            if self.nic_active {
-                self.params.nic_active_w
-            } else {
-                0.0
-            },
-        );
+        let dt = self.open_secs(now);
+        for (joules, watts) in self.joules.iter_mut().zip(self.watts) {
+            *joules += watts * dt;
+        }
+        self.last_change = now;
+        self.watts[CPU_DYNAMIC] = self
+            .params
+            .cpu
+            .dynamic_power_with_factor(self.op, self.dyn_factor());
+        self.watts[CPU_STATIC] = self.params.cpu.static_power(self.op);
+        self.watts[BASE] = self.params.base_w;
+        self.watts[MEMORY] = if self.mem_active {
+            self.params.mem_active_w
+        } else {
+            0.0
+        };
+        self.watts[NIC] = if self.nic_active {
+            self.params.nic_active_w
+        } else {
+            0.0
+        };
     }
 
     /// CPU moved to a new operating point at `now`; charges the transition
@@ -266,12 +290,14 @@ impl EnergyMeter {
 
     /// Energy consumed through `now`, per component.
     pub fn report_at(&self, now: SimTime) -> EnergyReport {
+        let dt = self.open_secs(now);
+        let j = |c: usize| self.joules[c] + self.watts[c] * dt;
         EnergyReport {
-            cpu_dynamic_j: self.cpu_dynamic.integral_at(now),
-            cpu_static_j: self.cpu_static.integral_at(now),
-            base_j: self.base.integral_at(now),
-            memory_j: self.memory.integral_at(now),
-            nic_j: self.nic.integral_at(now),
+            cpu_dynamic_j: j(CPU_DYNAMIC),
+            cpu_static_j: j(CPU_STATIC),
+            base_j: j(BASE),
+            memory_j: j(MEMORY),
+            nic_j: j(NIC),
             transition_j: self.transition_j,
         }
     }
@@ -378,6 +404,54 @@ mod tests {
         let r = m.report_at(SimTime::from_secs(1));
         let doubled = r.add(&r);
         assert!((doubled.total_j() - 2.0 * r.total_j()).abs() < 1e-9);
+    }
+
+    #[test]
+    fn shared_clock_matches_independent_integrators_bitwise() {
+        // Five independent time-weighted integrators fed the same draws
+        // at the same instants give the same floats, bit for bit.
+        use sim_core::TimeWeighted;
+        let mut m = meter();
+        let mut reference: Vec<TimeWeighted> = m
+            .watts
+            .iter()
+            .map(|&w| TimeWeighted::new(SimTime::ZERO, w))
+            .collect();
+        let l = ladder();
+        let mut now = SimTime::ZERO;
+        for step in 1..200u64 {
+            now += SimDuration::from_micros(step * step * 37 % 9_973);
+            match step % 5 {
+                0 => m.set_activity(now, CpuActivity::BusyWait),
+                1 => m.set_active_blended(now, 0.3 + (step % 7) as f64 / 10.0),
+                2 => m.set_mem_active(now, step % 3 == 0),
+                3 => m.set_nic_active(now, step % 4 == 0),
+                _ => m.set_operating_point(now, l.point((step % 5) as usize)),
+            }
+            for (tw, &w) in reference.iter_mut().zip(&m.watts) {
+                tw.set(now, w);
+            }
+            let end = now + SimDuration::from_micros(500);
+            let r = m.report_at(end);
+            let got = [
+                r.cpu_dynamic_j,
+                r.cpu_static_j,
+                r.base_j,
+                r.memory_j,
+                r.nic_j,
+            ];
+            for (tw, g) in reference.iter().zip(got) {
+                assert_eq!(tw.integral_at(end).to_bits(), g.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "time went backwards")]
+    fn meter_rejects_backwards_time() {
+        let mut m = meter();
+        m.set_mem_active(SimTime::from_secs(10), true);
+        m.set_mem_active(SimTime::from_secs(5), false);
     }
 
     #[test]

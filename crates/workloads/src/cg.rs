@@ -212,8 +212,7 @@ mod tests {
     fn single_rank_has_no_exchange() {
         let p = cg_programs(&CgConfig::paper_style(CgClass::Test, 1));
         assert!(!p[0]
-            .ops()
-            .iter()
+            .expanded()
             .any(|op| matches!(op, Op::Send { .. } | Op::SendRecv { .. })));
     }
 
@@ -223,10 +222,9 @@ mod tests {
         let p = cg_programs(&CgConfig::paper_style(CgClass::B, 8));
         // Find the biggest compute op — the SpMV — and check its split.
         let spmv = p[0]
-            .ops()
-            .iter()
+            .expanded()
             .filter_map(|op| match op {
-                Op::Compute(w) => Some(*w),
+                Op::Compute(w) => Some(w),
                 _ => None,
             })
             .max_by(|a, b| a.dram_accesses.total_cmp(&b.dram_accesses))
@@ -256,6 +254,8 @@ mod tests {
     #[test]
     fn jitter_is_deterministic() {
         let cfg = CgConfig::paper_style(CgClass::Test, 2);
-        assert_eq!(cg_programs(&cfg)[0].ops(), cg_programs(&cfg)[0].ops());
+        assert!(cg_programs(&cfg)[0]
+            .expanded()
+            .eq(cg_programs(&cfg)[0].expanded()));
     }
 }

@@ -285,12 +285,12 @@ mod tests {
         let cfg = FtConfig::paper(FtClass::Test, 2);
         let a = ft_programs(&cfg);
         let b = ft_programs(&cfg);
-        assert_eq!(a[0].ops().len(), b[0].ops().len());
-        for (x, y) in a[0].ops().iter().zip(b[0].ops()) {
+        assert_eq!(a[0].expanded().count(), b[0].expanded().count());
+        for (x, y) in a[0].expanded().zip(b[0].expanded()) {
             assert_eq!(x, y);
         }
         // And ranks differ from each other (independent jitter streams).
-        assert_ne!(a[0].ops(), a[1].ops());
+        assert!(!a[0].expanded().eq(a[1].expanded()));
     }
 
     #[test]

@@ -287,10 +287,7 @@ mod tests {
     fn builds_and_communicates() {
         let p = mg_programs(&MgConfig::paper_style(MgClass::Test, 8));
         assert_eq!(p.len(), 8);
-        assert!(p[0]
-            .ops()
-            .iter()
-            .any(|op| matches!(op, Op::SendRecv { .. })));
+        assert!(p[0].expanded().any(|op| matches!(op, Op::SendRecv { .. })));
     }
 
     #[test]
@@ -301,7 +298,7 @@ mod tests {
         let mut sends: Vec<(usize, usize, Tag, u64)> = Vec::new();
         let mut recvs: Vec<(usize, usize, Tag)> = Vec::new();
         for (rank, p) in programs.iter().enumerate() {
-            for op in p.ops() {
+            for op in p.expanded() {
                 if let Op::SendRecv {
                     dst,
                     send_bytes,
@@ -310,8 +307,8 @@ mod tests {
                     recv_tag,
                 } = op
                 {
-                    sends.push((rank, *dst, *send_tag, *send_bytes));
-                    recvs.push((*src, rank, *recv_tag));
+                    sends.push((rank, dst, send_tag, send_bytes));
+                    recvs.push((src, rank, recv_tag));
                 }
             }
         }
@@ -326,10 +323,9 @@ mod tests {
         // Face bytes at the finest level exceed the next level's by 4x.
         let programs = mg_programs(&MgConfig::paper_style(MgClass::Test, 8));
         let volumes: Vec<u64> = programs[0]
-            .ops()
-            .iter()
+            .expanded()
             .filter_map(|op| match op {
-                Op::SendRecv { send_bytes, .. } => Some(*send_bytes),
+                Op::SendRecv { send_bytes, .. } => Some(send_bytes),
                 _ => None,
             })
             .collect();
@@ -342,8 +338,7 @@ mod tests {
     fn single_rank_runs_without_exchange() {
         let p = mg_programs(&MgConfig::paper_style(MgClass::Test, 1));
         assert!(!p[0]
-            .ops()
-            .iter()
+            .expanded()
             .any(|op| matches!(op, Op::SendRecv { .. } | Op::Send { .. })));
     }
 

@@ -209,9 +209,8 @@ mod tests {
         // Exchange sendrecvs carry a full block; barrier sendrecvs are tiny.
         let block = c.block_bytes();
         let sends_exchange = |p: &Program| {
-            p.ops()
-                .iter()
-                .any(|op| matches!(op, Op::SendRecv { send_bytes, .. } if *send_bytes == block))
+            p.expanded()
+                .any(|op| matches!(op, Op::SendRecv { send_bytes, .. } if send_bytes == block))
         };
         for (r, program) in programs.iter().enumerate() {
             let has = sends_exchange(program);
@@ -249,13 +248,11 @@ mod tests {
         // The local transpose comes before the first SetSpeed: it runs at
         // the base operating point.
         let first_speed = programs[1]
-            .ops()
-            .iter()
+            .expanded()
             .position(|op| matches!(op, Op::SetSpeed(_)))
             .unwrap();
         let first_compute = programs[1]
-            .ops()
-            .iter()
+            .expanded()
             .position(|op| matches!(op, Op::Compute(_)))
             .unwrap();
         assert!(first_compute < first_speed);

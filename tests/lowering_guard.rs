@@ -2,9 +2,10 @@
 //! `crates/core/src/store/fingerprint.rs`). That is sound only while
 //! lowering stays a pure function of `(Workload, instrumentation)` whose
 //! output changes together with `STORE_FORMAT_VERSION`. This file pins a
-//! digest of every registry workload's programs so a lowering change
-//! cannot slip past the format version, and pins the key's size so it
-//! stays O(1) in program size.
+//! digest of every registry workload's expanded programs (the op stream
+//! the engine executes, collectives expanded) so a lowering change cannot
+//! slip past the format version, and pins the key's size so it stays
+//! O(1) in program size.
 //!
 //! Regenerate after a deliberate lowering change (and a format bump)
 //! with `BLESS=1 cargo test --test lowering_guard`.
@@ -120,6 +121,7 @@ fn digest_op(h: &mut Fnv, op: &Op) {
             h.u64(9);
             h.str(name);
         }
+        Op::Collective { .. } => unreachable!("expanded programs hold no collective ops"),
     }
 }
 
@@ -127,9 +129,9 @@ fn digest_programs(programs: &[Program]) -> u64 {
     let mut h = Fnv::new();
     h.u64(programs.len() as u64);
     for program in programs {
-        h.u64(program.len() as u64);
-        for op in program.ops() {
-            digest_op(&mut h, op);
+        h.u64(program.expanded().count() as u64);
+        for op in program.expanded() {
+            digest_op(&mut h, &op);
         }
     }
     h.0
@@ -202,6 +204,57 @@ fn store_key_size_is_independent_of_program_size() {
             let len =
                 canonical_experiment_bytes(&Experiment::new(workload.clone(), strategy)).len();
             assert!(len <= 512, "{name} / {strategy:?}: key is {len} bytes");
+        }
+    }
+}
+
+/// Each collective is one compact op, so a rank's program size does not
+/// grow with the job: the FT scale family lowers to the same number of
+/// ops per rank at every size, under one pinned ceiling of program bytes
+/// per rank.
+#[test]
+fn program_bytes_per_rank_do_not_grow_with_ranks() {
+    const CEILING_BYTES_PER_RANK: usize = 1024;
+    for instrumented in [false, true] {
+        let mut ops_per_rank = Vec::new();
+        for name in ["ft-scale-256", "ft-scale-1024", "ft-scale-4096"] {
+            let workload = Workload::parse_name(name).expect("registry name parses");
+            let programs = workload.programs(instrumented);
+            assert_eq!(programs.len(), workload.ranks());
+            let max_ops = programs.iter().map(Program::len).max().unwrap_or(0);
+            let bytes = std::mem::size_of::<Program>() + max_ops * std::mem::size_of::<Op>();
+            assert!(
+                bytes <= CEILING_BYTES_PER_RANK,
+                "{name} instrumented={instrumented}: {bytes} B per rank"
+            );
+            ops_per_rank.push(max_ops);
+        }
+        assert!(
+            ops_per_rank.windows(2).all(|w| w[0] == w[1]),
+            "compact ops per rank vary with job size: {ops_per_rank:?}"
+        );
+    }
+}
+
+/// `bytes_sent` counts every outgoing payload of the expanded stream
+/// (sends, isends and sendrecv sends), for every registry workload. At
+/// 4096 ranks a stride of ranks is checked: expanding every rank's
+/// alltoall is O(n²) ops and the ranks run the same code.
+#[test]
+fn bytes_sent_is_the_sum_over_the_expanded_stream() {
+    for name in Workload::names() {
+        let workload = Workload::parse_name(name).expect("registry name parses");
+        let stride = if workload.ranks() > 1024 { 97 } else { 1 };
+        for program in workload.programs(false).iter().step_by(stride) {
+            let expected: u64 = program
+                .expanded()
+                .map(|op| match op {
+                    Op::Send { bytes, .. } | Op::Isend { bytes, .. } => bytes,
+                    Op::SendRecv { send_bytes, .. } => send_bytes,
+                    _ => 0,
+                })
+                .sum();
+            assert_eq!(program.bytes_sent(), expected, "{name}");
         }
     }
 }
