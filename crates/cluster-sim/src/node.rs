@@ -45,6 +45,8 @@ impl Default for NodeConfig {
 pub struct Node {
     id: usize,
     config: NodeConfig,
+    /// `config.mem`'s effective DRAM latency, derived once.
+    dram_latency: SimDuration,
     meter: EnergyMeter,
     battery: SmartBattery,
     proc_stat: ProcStat,
@@ -83,6 +85,7 @@ impl Node {
             transition_until: None,
             residency: vec![SimDuration::ZERO; ladder_len],
             residency_since: SimTime::ZERO,
+            dram_latency: config.mem.effective_dram_latency(),
             config,
         }
     }
@@ -96,6 +99,13 @@ impl Node {
     #[inline]
     pub fn config(&self) -> &NodeConfig {
         &self.config
+    }
+
+    /// Effective DRAM stall per miss after overlap
+    /// ([`MemHierarchy::effective_dram_latency`] of the node's memory).
+    #[inline]
+    pub fn effective_dram_latency(&self) -> SimDuration {
+        self.dram_latency
     }
 
     /// Current operating-point index.
@@ -265,6 +275,22 @@ mod tests {
         assert!((n.freq_hz() - 1.4e9).abs() < 1.0);
         assert_eq!(n.activity(), CpuActivity::Halt);
         assert!(!n.in_transition());
+    }
+
+    #[test]
+    fn dram_stall_matches_the_split_at_every_frequency() {
+        let mut config = NodeConfig::inspiron_8600();
+        config.mem.mlp_overlap = 0.3;
+        let n = Node::new(0, config);
+        let w = mem_model::WorkUnit {
+            cpu_cycles: 1e6,
+            l2_accesses: 1e3,
+            dram_accesses: 12_345.0,
+        };
+        let stall = n.effective_dram_latency().mul_f64(w.dram_accesses);
+        for p in n.config().ladder.points() {
+            assert_eq!(stall, w.split(&n.config().mem, p.freq_hz).stall);
+        }
     }
 
     #[test]

@@ -89,13 +89,27 @@ fn child_mask_desc(limit: usize, i: usize) -> Option<usize> {
     top.checked_shr(u32::try_from(i).ok()?).filter(|&m| m > 0)
 }
 
+/// `x mod n` for `x < 2n`: every rank sum below is two ranks (or a rank
+/// and a distance) each under `n`, so one conditional subtract replaces
+/// the division.
+#[inline]
+fn wrap(x: usize, n: usize) -> usize {
+    debug_assert!(x < 2 * n);
+    if x >= n {
+        x - n
+    } else {
+        x
+    }
+}
+
 /// Number of powers of two at or below `limit`.
 fn child_count(limit: usize) -> usize {
     (usize::BITS - limit.leading_zeros()) as usize
 }
 
 /// Rank `rank`'s `i`-th step of a `size`-rank collective, or `None` once
-/// its part is done. Single-rank collectives have no steps.
+/// its part is done. Single-rank collectives have no steps. `rank` and
+/// `root` are below `size` (the builder asserts both).
 pub(crate) fn step(
     kind: CollectiveKind,
     rank: Rank,
@@ -110,8 +124,8 @@ pub(crate) fn step(
         return None;
     }
     let r = rank;
-    let rel = (r + n - root) % n;
-    let abs = |rel: usize| (rel + root) % n;
+    let rel = wrap(r + n - root, n);
+    let abs = |rel: usize| wrap(rel + root, n);
     match kind {
         CollectiveKind::Barrier => {
             let dist = 1usize.checked_shl(u32::try_from(i).ok()?)?;
@@ -120,10 +134,10 @@ pub(crate) fn step(
             }
             let k = i as Tag;
             Some(Step::SendRecv {
-                dst: (r + dist) % n,
+                dst: wrap(r + dist, n),
                 send_bytes: bytes,
                 send_tag: tag + k,
-                src: (r + n - dist) % n,
+                src: wrap(r + n - dist, n),
                 recv_bytes: bytes,
                 recv_tag: tag + k,
             })
@@ -217,10 +231,10 @@ pub(crate) fn step(
             } else {
                 let round = i as Tag;
                 (i < n - 1).then(|| Step::SendRecv {
-                    dst: (r + 1) % n,
+                    dst: wrap(r + 1, n),
                     send_bytes: bytes,
                     send_tag: tag + round,
-                    src: (r + n - 1) % n,
+                    src: wrap(r + n - 1, n),
                     recv_bytes: bytes,
                     recv_tag: tag + round,
                 })
@@ -237,7 +251,7 @@ pub(crate) fn step(
             let (dst, src) = if n.is_power_of_two() {
                 (r ^ round, r ^ round)
             } else {
-                ((r + round) % n, (r + n - round) % n)
+                (wrap(r + round, n), wrap(r + n - round, n))
             };
             Some(Step::SendRecv {
                 dst,
@@ -255,13 +269,13 @@ pub(crate) fn step(
             } else if i < n {
                 let round = i;
                 Some(Step::Irecv {
-                    src: (r + n - round) % n,
+                    src: wrap(r + n - round, n),
                     tag: tag + round as Tag,
                 })
             } else if i < 2 * n - 1 {
                 let round = i - (n - 1);
                 Some(Step::Isend {
-                    dst: (r + round) % n,
+                    dst: wrap(r + round, n),
                     bytes,
                     tag: tag + round as Tag,
                 })

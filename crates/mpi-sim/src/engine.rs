@@ -189,8 +189,10 @@ struct CausalRecorder {
     open: Vec<Option<(SimTime, f64)>>,
 }
 
-/// The frequency-dependent float plan for one `Op::Compute`: exactly the
-/// values `execute_next` derives before starting the phase. Produced by
+/// The float plan for one `Op::Compute`: exactly the values
+/// `execute_next` derives before starting the phase. None of them depends
+/// on the node's frequency (the phase scales `cycles` by it when it
+/// starts), so a plan stays valid across DVFS transitions. Produced by
 /// [`plan_compute`] — one pure function shared by the inline path and the
 /// shard planner, so a cached plan is bit-identical to an inline one.
 #[derive(Debug, Clone, Copy)]
@@ -205,11 +207,10 @@ struct ComputePlan {
 }
 
 /// Derive the compute-phase floats for `w` on `node`. Pure: reads only
-/// the node's frequency and static configuration, which is what lets the
-/// shard planner evaluate it for many ranks concurrently.
+/// the node's static configuration, which is what lets the shard planner
+/// evaluate it for many ranks concurrently.
 fn plan_compute(w: &WorkUnit, node: &Node) -> ComputePlan {
     let hier = &node.config().mem;
-    let split = w.split(hier, node.freq_hz());
     let cycles = w.scaled_cycles(hier);
     let power_factor = node
         .config()
@@ -220,7 +221,7 @@ fn plan_compute(w: &WorkUnit, node: &Node) -> ComputePlan {
     ComputePlan {
         cycles,
         power_factor,
-        stall: split.stall,
+        stall: node.effective_dram_latency().mul_f64(w.dram_accesses),
     }
 }
 

@@ -327,6 +327,9 @@ pub(crate) struct Cursor {
     step: usize,
     sub: u8,
     position: usize,
+    /// The collective step being expanded, computed once when the cursor
+    /// enters it; `None` between steps and outside collectives.
+    current: Option<Step>,
 }
 
 impl Cursor {
@@ -338,6 +341,19 @@ impl Cursor {
     /// The next expanded op of `program`, or `None` at its end.
     pub(crate) fn next(&mut self, program: &Program) -> Option<Op> {
         loop {
+            if let Some(step) = self.current {
+                while self.sub < Step::SUBS {
+                    let sub = self.sub;
+                    self.sub += 1;
+                    if let Some(op) = step.op(sub, &program.cost) {
+                        self.position += 1;
+                        return Some(op);
+                    }
+                }
+                self.current = None;
+                self.step += 1;
+                self.sub = 0;
+            }
             let op = program.ops.get(self.pc)?;
             let &Op::Collective {
                 kind,
@@ -350,7 +366,7 @@ impl Cursor {
                 self.position += 1;
                 return Some(op.clone());
             };
-            let step = collectives::step(
+            self.current = collectives::step(
                 kind,
                 program.rank,
                 program.size,
@@ -359,21 +375,10 @@ impl Cursor {
                 tag,
                 self.step,
             );
-            let Some(step) = step else {
+            if self.current.is_none() {
                 self.pc += 1;
                 self.step = 0;
-                continue;
-            };
-            while self.sub < Step::SUBS {
-                let sub = self.sub;
-                self.sub += 1;
-                if let Some(op) = step.op(sub, &program.cost) {
-                    self.position += 1;
-                    return Some(op);
-                }
             }
-            self.step += 1;
-            self.sub = 0;
         }
     }
 }

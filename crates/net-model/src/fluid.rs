@@ -13,13 +13,18 @@
 //!
 //! Rates only change when the *fabric* flow set changes: loopback (self)
 //! flows never contend for the switch, so arrivals and departures of
-//! loopback flows leave every other rate untouched, and a lone fabric flow
-//! always gets the full link. Those cases skip the progressive-filling
-//! solver entirely; the general case reuses a [`FairShare`] solver and
-//! per-call scratch, so the steady-state event loop allocates nothing.
-//! All fast paths are bit-identical to a from-scratch recomputation (a
-//! property-based test below drives random arrivals/departures and checks
-//! rates against [`max_min_fair`] exactly).
+//! loopback flows leave every other rate untouched. Each fabric flow loads
+//! two links, its source's uplink and its destination's downlink, and the
+//! network counts the flows on every link. While no link carries two
+//! flows, progressive filling would freeze each flow at its own link
+//! capacity, so every fabric flow simply runs at its lone rate: an arrival
+//! takes its lone rate, and a departure that leaves no link shared resets
+//! the survivors to theirs. The progressive-filling solver runs only while
+//! some link is shared; it reuses a [`FairShare`] solver and per-call
+//! scratch, so the steady-state event loop allocates nothing. All fast
+//! paths are bit-identical to a from-scratch recomputation (property-based
+//! tests below drive random arrivals/departures, with and without degraded
+//! links, and check rates against the solver exactly).
 //!
 //! ## Hierarchical (tree) mode
 //!
@@ -51,7 +56,7 @@ use std::collections::BinaryHeap;
 
 use sim_core::{SimDuration, SimTime};
 
-use crate::fair_share::{FairShare, FlowEndpoints, SolverStats};
+use crate::fair_share::{FairShare, FlowEndpoints, SolverStats, FREEZE_SLACK};
 use crate::params::NetworkParams;
 use crate::topology::{LinkTable, Topology};
 
@@ -137,6 +142,65 @@ fn completion_instant(from: SimTime, remaining_bytes: f64, rate: f64) -> SimTime
     from + SimDuration::from_secs_f64(secs) + SimDuration::from_ps(1)
 }
 
+/// Flat mode's per-link flow counts. A fabric flow from `src` to `dst`
+/// loads link `2·src` (the source's uplink) and link `2·dst + 1` (the
+/// destination's downlink), the solver's flat link numbering.
+#[derive(Debug)]
+struct LinkLoad {
+    load: Vec<u32>,
+    /// Live fabric flows.
+    flows: usize,
+    /// Links carrying two or more flows.
+    shared: usize,
+}
+
+impl LinkLoad {
+    fn add(&mut self, src: usize, dst: usize) {
+        self.flows += 1;
+        for l in [2 * src, 2 * dst + 1] {
+            self.load[l] += 1;
+            if self.load[l] == 2 {
+                self.shared += 1;
+            }
+        }
+    }
+
+    fn remove(&mut self, src: usize, dst: usize) {
+        self.flows -= 1;
+        for l in [2 * src, 2 * dst + 1] {
+            if self.load[l] == 2 {
+                self.shared -= 1;
+            }
+            self.load[l] -= 1;
+        }
+    }
+}
+
+/// The rate a fabric flow from `src` to `dst` gets when it shares no
+/// link: the full nominal goodput, or the weaker of its two endpoints'
+/// links when one is degraded.
+fn lone_rate(params: &NetworkParams, link_caps: Option<&[f64]>, src: usize, dst: usize) -> f64 {
+    match link_caps {
+        None => params.goodput_bytes_per_sec(),
+        Some(caps) => caps[src].min(caps[dst]),
+    }
+}
+
+/// Whether progressive filling gives every unshared flow exactly its lone
+/// rate under per-node capacities `caps`. It freezes a flow at the
+/// round's bottleneck share when the flow's own limit is within
+/// [`FREEZE_SLACK`] of it, so two distinct capacities closer than that
+/// would hand the larger one the smaller's rate.
+fn caps_separated(caps: &[f64]) -> bool {
+    let mut sorted = caps.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    sorted.dedup();
+    sorted
+        .iter()
+        .zip(&sorted[1..])
+        .all(|(lo, hi)| *hi > lo * FREEZE_SLACK)
+}
+
 /// The flow occupying an active slot. Active slots always hold `Some`:
 /// `start_flow` fills the slot before linking it into `active_slots`, and
 /// `take_completed_into` clears both together. Free functions (not
@@ -163,8 +227,12 @@ pub struct FluidNetwork {
     /// Slots of live flows, kept sorted ascending so every scan visits
     /// flows in the same order a full `flows` sweep would.
     active_slots: Vec<usize>,
-    /// Live flows with src != dst (the ones that contend for the switch).
-    fabric_count: usize,
+    /// Flat mode: flows per up/down link.
+    links: LinkLoad,
+    /// False when degraded capacities sit too close together for lone
+    /// rates to match the solver bitwise (see [`caps_separated`]); the
+    /// solver then runs whenever two or more fabric flows are live.
+    caps_separated: bool,
     /// Per node: how many live flows touch it as src or dst (a loopback
     /// flow counts twice). Makes `node_busy` O(1).
     node_touch: Vec<usize>,
@@ -198,7 +266,12 @@ impl FluidNetwork {
             flows: Vec::new(),
             free_slots: Vec::new(),
             active_slots: Vec::new(),
-            fabric_count: 0,
+            links: LinkLoad {
+                load: vec![0; 2 * nodes],
+                flows: 0,
+                shared: 0,
+            },
+            caps_separated: true,
             node_touch: vec![0; nodes],
             link_caps: None,
             tree: None,
@@ -250,15 +323,21 @@ impl FluidNetwork {
 
     /// Degrade `node`'s link to `factor` (in (0, 1]) of the nominal
     /// goodput — the fault-injection path for a failing cable or duplex
-    /// mismatch. Call before traffic starts; cumulative if called twice
-    /// for the same node. A factor of exactly 1.0 on every node still
-    /// switches the solver to the per-node-capacity path, so only call
-    /// this when a link is genuinely degraded.
+    /// mismatch. Call before traffic starts (live flows would keep their
+    /// old rates); cumulative if called twice for the same node. A factor
+    /// of exactly 1.0 on every node still switches the solver to the
+    /// per-node-capacity path, so only call this when a link is genuinely
+    /// degraded.
     pub fn set_link_bandwidth_factor(&mut self, node: usize, factor: f64) {
         assert!(node < self.nodes, "endpoint out of range");
         assert!(
             factor > 0.0 && factor <= 1.0,
             "bandwidth factor must be in (0, 1]"
+        );
+        assert_eq!(
+            self.active_flows(),
+            0,
+            "degrade links before traffic starts"
         );
         if let Some(tree) = &mut self.tree {
             // Hierarchical fabric: the per-node fault hook degrades both
@@ -273,15 +352,14 @@ impl FluidNetwork {
             .link_caps
             .get_or_insert_with(|| vec![goodput; self.nodes]);
         caps[node] *= factor;
+        self.caps_separated = caps_separated(caps);
     }
 
-    /// The capacity of a lone fabric flow from `src` to `dst`: the full
-    /// nominal goodput unless either endpoint's link is degraded.
-    fn lone_flow_rate(&self, src: usize, dst: usize) -> f64 {
-        match &self.link_caps {
-            None => self.params.goodput_bytes_per_sec(),
-            Some(caps) => caps[src].min(caps[dst]),
-        }
+    /// True while every fabric flow's max-min rate is its lone rate: no
+    /// link is shared (or at most one fabric flow is live, when degraded
+    /// capacities are too close to tell apart).
+    fn lone_rates_hold(&self) -> bool {
+        self.links.shared == 0 && (self.caps_separated || self.links.flows <= 1)
     }
 
     /// Move the fluid state forward to `now`, draining flows at their
@@ -338,11 +416,11 @@ impl FluidNetwork {
             // Loopback never contends: nobody else's rate changes.
             slot_flow_mut(&mut self.flows, id).rate_bytes_per_sec = LOOPBACK_BYTES_PER_SEC;
         } else {
-            self.fabric_count += 1;
-            if self.fabric_count == 1 {
-                // A lone fabric flow takes the whole link (or the weaker
-                // of its two endpoints' links when one is degraded).
-                let rate = self.lone_flow_rate(src, dst);
+            self.links.add(src, dst);
+            if self.lone_rates_hold() {
+                // Nothing shares a link with the newcomer, so nobody
+                // else's rate changes either.
+                let rate = lone_rate(&self.params, self.link_caps.as_deref(), src, dst);
                 slot_flow_mut(&mut self.flows, id).rate_bytes_per_sec = rate;
             } else {
                 self.recompute_rates();
@@ -385,7 +463,6 @@ impl FluidNetwork {
             tree.path_scratch = path;
             self.solver.note_incremental_update(touched, skipped);
             self.total_rate_recomputes += 1;
-            self.fabric_count += 1;
             rate
         };
 
@@ -481,7 +558,7 @@ impl FluidNetwork {
 
     /// Advance to `now` and remove every drained flow, appending
     /// `(id, src, dst)` for each in id order to `done` (cleared first).
-    /// Rates are only recomputed if a fabric flow actually finished.
+    /// Rates only change if a fabric flow actually finished.
     pub fn take_completed_into(&mut self, now: SimTime, done: &mut Vec<(FlowId, usize, usize)>) {
         done.clear();
         self.advance(now);
@@ -489,7 +566,8 @@ impl FluidNetwork {
             self.take_completed_tree(now, done);
             return;
         }
-        let mut removed_fabric = 0usize;
+        let solved = !self.lone_rates_hold();
+        let mut removed_fabric = false;
         let mut keep = 0usize;
         for read in 0..self.active_slots.len() {
             let slot = self.active_slots[read];
@@ -502,7 +580,8 @@ impl FluidNetwork {
                 self.node_touch[src] -= 1;
                 self.node_touch[dst] -= 1;
                 if src != dst {
-                    removed_fabric += 1;
+                    self.links.remove(src, dst);
+                    removed_fabric = true;
                 }
                 self.total_flows_completed += 1;
             } else {
@@ -511,22 +590,20 @@ impl FluidNetwork {
             }
         }
         self.active_slots.truncate(keep);
-        if removed_fabric > 0 {
-            self.fabric_count -= removed_fabric;
-            match self.fabric_count {
-                0 => {} // only loopbacks remain; their rate is a constant
-                1 => {
-                    // The survivor takes the whole link; no solver needed.
-                    let survivor = self.active_slots.iter().copied().find_map(|slot| {
-                        let f = slot_flow(&self.flows, slot);
-                        (f.src != f.dst).then_some((slot, f.src, f.dst))
-                    });
-                    if let Some((slot, src, dst)) = survivor {
-                        let rate = self.lone_flow_rate(src, dst);
-                        slot_flow_mut(&mut self.flows, slot).rate_bytes_per_sec = rate;
-                    }
+        if !removed_fabric {
+            return;
+        }
+        if !self.lone_rates_hold() {
+            self.recompute_rates();
+        } else if solved {
+            // The last shared link just cleared: every survivor is back
+            // on its lone rate. Loopback rates are a constant.
+            for &slot in &self.active_slots {
+                let f = slot_flow_mut(&mut self.flows, slot);
+                if f.src != f.dst {
+                    f.rate_bytes_per_sec =
+                        lone_rate(&self.params, self.link_caps.as_deref(), f.src, f.dst);
                 }
-                _ => self.recompute_rates(),
             }
         }
     }
@@ -540,7 +617,6 @@ impl FluidNetwork {
             flows,
             free_slots,
             node_touch,
-            fabric_count,
             total_bytes_delivered,
             total_flows_completed,
             total_rate_recomputes,
@@ -576,7 +652,6 @@ impl FluidNetwork {
             tree.active_count -= 1;
             if flow.src != flow.dst {
                 released_fabric = true;
-                *fabric_count -= 1;
                 let mut path = std::mem::take(&mut tree.path_scratch);
                 path.clear();
                 tree.table.push_path(flow.src, flow.dst, &mut path);
@@ -635,9 +710,10 @@ impl FluidNetwork {
     }
 
     /// How many times rates were re-derived: in flat mode, full
-    /// progressive-filling recomputes (the loopback / lone-fabric fast
-    /// paths don't count — that's the point of tracking it); in tree
-    /// mode, fabric admissions and harvests that released fabric paths.
+    /// progressive-filling recomputes, which run only while some link is
+    /// shared (the loopback and lone-rate paths don't count — that's the
+    /// point of tracking it); in tree mode, fabric admissions and harvests
+    /// that released fabric paths.
     pub fn rate_recomputes(&self) -> u64 {
         self.total_rate_recomputes
     }
@@ -715,7 +791,7 @@ mod tests {
 
     #[test]
     fn survivor_rate_restored_without_full_recompute() {
-        // Exercises the fabric_count == 1 fast path in take_completed_into.
+        // Exercises the lone-rate reset in take_completed_into.
         let mut n = net(3);
         n.start_flow(SimTime::ZERO, 0, 1, 1_000_000);
         let long = n.start_flow(SimTime::ZERO, 0, 2, 5_000_000);
@@ -774,16 +850,59 @@ mod tests {
 
     #[test]
     fn recompute_counter_skips_fast_paths() {
-        let mut n = net(3);
-        // Lone fabric flow and loopback: both fast paths, no recompute.
-        n.start_flow(SimTime::ZERO, 0, 1, 1_000_000);
+        let mut n = net(6);
+        // Disjoint fabric flows and a loopback share no link: no recompute.
+        n.start_flow(SimTime::ZERO, 0, 1, 1_000);
+        n.start_flow(SimTime::ZERO, 2, 3, 1_000_000);
+        n.start_flow(SimTime::ZERO, 4, 5, 1_000_000);
         n.start_flow(SimTime::ZERO, 2, 2, 1_000_000);
         assert_eq!(n.rate_recomputes(), 0);
         assert_eq!(n.solver_stats().invocations, 0);
-        // A second fabric flow forces the solver.
-        n.start_flow(SimTime::ZERO, 0, 2, 1_000_000);
+        // The first flow that shares a link (node 0's uplink) costs one.
+        let long = n.start_flow(SimTime::ZERO, 0, 2, 5_000_000);
         assert_eq!(n.rate_recomputes(), 1);
         assert_eq!(n.solver_stats().invocations, 1);
+        // The short flow drains first and clears the shared link: the
+        // survivor is back at the full rate without another solve.
+        let t = n.next_completion().unwrap();
+        assert_eq!(take(&mut n, t), vec![(FlowId(0), 0, 1)]);
+        assert_eq!(n.solver_stats().invocations, 1);
+        let full = n.params().goodput_bytes_per_sec();
+        assert_eq!(n.current_rate(long).unwrap().to_bits(), full.to_bits());
+    }
+
+    #[test]
+    fn close_degraded_capacities_keep_the_solver_result() {
+        // Two capacities one ulp-scale step apart: the solver freezes the
+        // faster flow at the slower one's share, and so must the network.
+        let mut n = net(4);
+        n.set_link_bandwidth_factor(0, 0.5);
+        n.set_link_bandwidth_factor(1, 0.5 + 1e-15);
+        let slow = n.start_flow(SimTime::ZERO, 0, 2, 1_000_000);
+        let fast = n.start_flow(SimTime::ZERO, 1, 3, 1_000_000);
+        let caps = n.link_caps.clone().unwrap();
+        let mut expect = Vec::new();
+        FairShare::new().compute_with_capacities_into(
+            &[
+                FlowEndpoints { src: 0, dst: 2 },
+                FlowEndpoints { src: 1, dst: 3 },
+            ],
+            4,
+            &caps,
+            LOOPBACK_BYTES_PER_SEC,
+            &mut expect,
+        );
+        assert_eq!(expect[0].to_bits(), expect[1].to_bits());
+        assert_eq!(n.current_rate(slow).unwrap().to_bits(), expect[0].to_bits());
+        assert_eq!(n.current_rate(fast).unwrap().to_bits(), expect[1].to_bits());
+    }
+
+    #[test]
+    #[should_panic(expected = "before traffic starts")]
+    fn degrading_a_busy_network_panics() {
+        let mut n = net(2);
+        n.start_flow(SimTime::ZERO, 0, 1, 1_000);
+        n.set_link_bandwidth_factor(0, 0.5);
     }
 
     #[test]
@@ -1125,40 +1244,85 @@ mod prop_tests {
             prop_assert!(last.as_secs_f64() <= upper, "{} > {}", last.as_secs_f64(), upper);
         }
 
-        /// The incremental rate maintenance (loopback skip, lone-fabric fast
+        /// The incremental rate maintenance (loopback skip, lone-rate
         /// path, reused solver scratch) is bit-identical to a from-scratch
         /// progressive filling over the live flow set, under an arbitrary
-        /// interleaving of arrivals and completions.
+        /// interleaving of arrivals and completions. Eight endpoints, as
+        /// in cg-b8, make multi-flow states with no shared link common.
         #[test]
         fn prop_incremental_rates_match_from_scratch(
             ops in proptest::collection::vec(
-                (any::<bool>(), 0usize..5, 0usize..5, 1_000u64..2_000_000), 1..40)
+                (any::<bool>(), 0usize..NODES, 0usize..NODES, 1_000u64..2_000_000), 1..40)
         ) {
-            let params = NetworkParams::catalyst_2950_100m();
-            let goodput = params.goodput_bytes_per_sec();
-            let mut net = FluidNetwork::new(params, 5);
-            let mut shadow: BTreeMap<usize, FlowEndpoints> = BTreeMap::new();
-            let mut now = SimTime::ZERO;
-            for &(complete, src, dst, bytes) in &ops {
-                if complete {
-                    if let Some(t) = net.next_completion() {
-                        now = t;
-                        for (id, _, _) in take_p(&mut net, now) {
-                            shadow.remove(&id.0);
-                        }
+            let net = FluidNetwork::new(NetworkParams::catalyst_2950_100m(), NODES);
+            check_rates_against_solver(net, &ops)?;
+        }
+
+        /// The same with degraded links, against the per-node-capacity
+        /// solver.
+        #[test]
+        fn prop_degraded_rates_match_from_scratch(
+            degrade in proptest::collection::vec(0usize..3, NODES..NODES + 1),
+            ops in proptest::collection::vec(
+                (any::<bool>(), 0usize..NODES, 0usize..NODES, 1_000u64..2_000_000), 1..40)
+        ) {
+            let mut net = FluidNetwork::new(NetworkParams::catalyst_2950_100m(), NODES);
+            for (node, &k) in degrade.iter().enumerate() {
+                net.set_link_bandwidth_factor(node, [1.0, 0.5, 0.25][k]);
+            }
+            check_rates_against_solver(net, &ops)?;
+        }
+    }
+
+    const NODES: usize = 8;
+
+    /// Drive `net` through `ops` (`(complete, src, dst, bytes)`: harvest
+    /// the next completion, or start a flow) and compare every live rate
+    /// bitwise with a fresh solver run after each step.
+    fn check_rates_against_solver(
+        mut net: FluidNetwork,
+        ops: &[(bool, usize, usize, u64)],
+    ) -> Result<(), TestCaseError> {
+        let mut shadow: BTreeMap<usize, FlowEndpoints> = BTreeMap::new();
+        let mut now = SimTime::ZERO;
+        let mut expect = Vec::new();
+        for &(complete, src, dst, bytes) in ops {
+            if complete {
+                if let Some(t) = net.next_completion() {
+                    now = t;
+                    for (id, _, _) in take_p(&mut net, now) {
+                        shadow.remove(&id.0);
                     }
-                } else {
-                    let id = net.start_flow(now, src, dst, bytes);
-                    shadow.insert(id.0, FlowEndpoints { src, dst });
                 }
-                let endpoints: Vec<FlowEndpoints> = shadow.values().copied().collect();
-                let expect = max_min_fair(&endpoints, 5, goodput, LOOPBACK_BYTES_PER_SEC);
-                for ((slot, _), exp) in shadow.iter().zip(&expect) {
-                    let got = net.current_rate(FlowId(*slot)).unwrap();
-                    prop_assert!(got.to_bits() == exp.to_bits(),
-                        "slot {} rate {} != from-scratch {}", slot, got, exp);
+            } else {
+                let id = net.start_flow(now, src, dst, bytes);
+                shadow.insert(id.0, FlowEndpoints { src, dst });
+            }
+            let endpoints: Vec<FlowEndpoints> = shadow.values().copied().collect();
+            match &net.link_caps {
+                None => {
+                    let goodput = net.params().goodput_bytes_per_sec();
+                    expect = max_min_fair(&endpoints, NODES, goodput, LOOPBACK_BYTES_PER_SEC);
                 }
+                Some(caps) => FairShare::new().compute_with_capacities_into(
+                    &endpoints,
+                    NODES,
+                    caps,
+                    LOOPBACK_BYTES_PER_SEC,
+                    &mut expect,
+                ),
+            }
+            for ((slot, _), exp) in shadow.iter().zip(&expect) {
+                let got = net.current_rate(FlowId(*slot)).unwrap();
+                prop_assert!(
+                    got.to_bits() == exp.to_bits(),
+                    "slot {} rate {} != from-scratch {}",
+                    slot,
+                    got,
+                    exp
+                );
             }
         }
+        Ok(())
     }
 }

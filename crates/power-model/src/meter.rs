@@ -177,8 +177,12 @@ impl EnergyMeter {
     #[inline]
     fn reapply(&mut self, now: SimTime) {
         let dt = self.open_secs(now);
-        for (joules, watts) in self.joules.iter_mut().zip(self.watts) {
-            *joules += watts * dt;
+        // Several device changes often land on one instant; adding
+        // `watts * 0.0` would leave every integral unchanged.
+        if dt > 0.0 {
+            for (joules, watts) in self.joules.iter_mut().zip(self.watts) {
+                *joules += watts * dt;
+            }
         }
         self.last_change = now;
         self.watts[CPU_DYNAMIC] = self

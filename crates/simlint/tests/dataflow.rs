@@ -35,18 +35,21 @@ fn injected_mut_self_leak_under_plan_compute_is_caught() {
     let clean = purity_findings(&[engine.clone(), (node_rel.clone(), node_src.clone())]);
     assert!(clean.is_empty(), "pristine sources not clean: {clean:?}");
 
-    // Inject the leak: `Node::freq_hz` (called from `plan_compute`)
-    // grows a `&mut self` receiver.
-    let leaked = node_src.replace("pub fn freq_hz(&self", "pub fn freq_hz(&mut self");
+    // Inject the leak: `Node::effective_dram_latency` (called from
+    // `plan_compute`) grows a `&mut self` receiver.
+    let leaked = node_src.replace(
+        "pub fn effective_dram_latency(&self",
+        "pub fn effective_dram_latency(&mut self",
+    );
     assert_ne!(
         leaked, node_src,
-        "node.rs no longer defines `freq_hz(&self)` — update this test"
+        "node.rs no longer defines `effective_dram_latency(&self)` — update this test"
     );
 
     let found = purity_findings(&[engine, (node_rel, leaked)]);
     let hit = found
         .iter()
-        .find(|f| f.message.contains("freq_hz") && f.message.contains("&mut self"))
+        .find(|f| f.message.contains("effective_dram_latency") && f.message.contains("&mut self"))
         .unwrap_or_else(|| panic!("leak not caught; purity findings: {found:?}"));
     // The report names the pure root and lands in the calling file.
     assert!(hit.message.contains("plan_compute"), "{hit:?}");
