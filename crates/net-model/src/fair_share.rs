@@ -25,11 +25,6 @@
 
 use crate::topology::LinkTable;
 
-/// Relative slack of the freeze test: a flow whose tightest link share is
-/// within this factor of the bottleneck share freezes at the bottleneck
-/// share.
-pub(crate) const FREEZE_SLACK: f64 = 1.0 + 1e-12;
-
 /// A flow to be allocated: `(src_node, dst_node)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlowEndpoints {
@@ -277,7 +272,7 @@ impl FairShare {
                 for &l in path {
                     limit = limit.min(link_cap[l as usize] / link_count[l as usize] as f64);
                 }
-                if limit <= bottleneck_share * FREEZE_SLACK {
+                if limit <= bottleneck_share * (1.0 + 1e-12) {
                     rates[i] = bottleneck_share;
                     for &l in path {
                         link_cap[l as usize] -= bottleneck_share;
